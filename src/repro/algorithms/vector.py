@@ -58,28 +58,11 @@ __all__ = [
 _INF = (1 << 63) - 1
 
 
-def _flag_outputs(vg, flags, ks, m_port=None):
-    """Per-node output frozensets for halting nodes *ks*: the local
-    ports whose flag is set, plus the matched port when given.
-
-    One global ``flatnonzero`` + sorted-owner bisection instead of a
-    per-node scan — this runs once per halt wave, over every halting
-    node, and dominated whole-run time as a per-node loop."""
-    selected = np.flatnonzero(flags)
-    locs = vg.local[selected].tolist()
-    owners = vg.port_node[selected]
-    lo = np.searchsorted(owners, ks)
-    hi = np.searchsorted(owners, ks, side="right")
-    if m_port is None:
-        return [
-            frozenset(locs[a:b])
-            for a, b in zip(lo.tolist(), hi.tolist())
-        ]
-    matched = m_port[ks].tolist()
-    return [
-        frozenset(locs[a:b]) | {m} if m >= 0 else frozenset(locs[a:b])
-        for a, b, m in zip(lo.tolist(), hi.tolist(), matched)
-    ]
+def _owned(vg, ks, flags):
+    """*flags* restricted to the ports of nodes *ks* (a port mask)."""
+    mine = np.zeros(vg.num_nodes, dtype=bool)
+    mine[ks] = True
+    return flags & mine[vg.port_node]
 
 
 # -- Theorem 3 -------------------------------------------------------------
@@ -88,22 +71,10 @@ def _flag_outputs(vg, flags, ks, m_port=None):
 class VectorPortOne(VectorProgram):
     """Theorem 3, vectorised: one total broadcast, then every node halts.
 
-    The selection is one boolean expression over the port axis; outputs
-    are memoised like the batch program's.
+    The selection is one boolean expression over the port axis.
     """
 
-    __slots__ = ("_outs",)
-
-    def __init__(self, graph: PortNumberedGraph) -> None:
-        super().__init__(graph)
-        cg = self.cg
-        try:
-            self._outs = cg.memo["vector_port_one"]
-        except KeyError:
-            vg = self.vg
-            selected = (vg.local == 1) | (vg.peer_local == 1)
-            self._outs = vg.port_sets(selected)
-            cg.memo["vector_port_one"] = self._outs
+    __slots__ = ()
 
     def _step(self, rnd):
         vg = self.vg
@@ -111,8 +82,11 @@ class VectorPortOne(VectorProgram):
         ok = self.deliver(rnd, sends)
         if self.record:
             self.log_sends(sends, PAYLOAD_INT, a=vg.local, delivered=ok)
-        ks = np.flatnonzero(self.running)
-        self.halt_nodes(ks, [self._outs[k] for k in ks.tolist()])
+        # Every node with a port halts now, so the mask is all theirs.
+        self.halt_nodes(
+            np.flatnonzero(self.running),
+            (vg.local == 1) | (vg.peer_local == 1),
+        )
 
 
 class VectorAllEdges(VectorProgram):
@@ -121,12 +95,9 @@ class VectorAllEdges(VectorProgram):
     __slots__ = ()
 
     def _step(self, rnd):
-        degrees = self.vg.degrees
+        vg = self.vg
         ks = np.flatnonzero(self.running)
-        self.halt_nodes(
-            ks,
-            [frozenset(range(1, int(degrees[k]) + 1)) for k in ks.tolist()],
-        )
+        self.halt_nodes(ks, self.running[vg.port_node])
 
 
 # -- shared Section 5 label machinery --------------------------------------
@@ -393,7 +364,7 @@ class VectorRegularOdd(_VectorLabelAware):
             ks = halt_k[h0:h1]
             ks = ks[self.running[ks]]
             if len(ks):
-                self.halt_nodes(ks, _flag_outputs(self.vg, self.sel_flag, ks))
+                self.halt_nodes(ks, _owned(self.vg, ks, self.sel_flag))
 
 
 # -- Theorem 5 -------------------------------------------------------------
@@ -507,10 +478,11 @@ class VectorBoundedDegree(_VectorLabelAware):
         if step + 1 >= self.total_steps:
             ks = np.flatnonzero(self.running)
             if len(ks):
-                self.halt_nodes(
-                    ks,
-                    _flag_outputs(self.vg, self.p_flag, ks, self.m_port),
-                )
+                vg = self.vg
+                ports = _owned(vg, ks, self.p_flag)
+                matched = ks[self.m_port[ks] >= 0]
+                ports[vg.offsets[matched] + self.m_port[matched] - 1] = True
+                self.halt_nodes(ks, ports)
 
     def _pair_step(self, rnd, step):
         """Phase I: greedy maximal matching on the M(i, j) edge class."""
@@ -733,7 +705,7 @@ class VectorDoubleCover(VectorProgram):
         if rnd + 1 >= 2 * self.delta:
             ks = np.flatnonzero(self.running)
             if len(ks):
-                self.halt_nodes(ks, _flag_outputs(vg, self.p_flag, ks))
+                self.halt_nodes(ks, _owned(vg, ks, self.p_flag))
 
 
 # -- identified-model greedy matching --------------------------------------
@@ -808,7 +780,7 @@ class VectorGreedyMatchingIds(VectorProgram):
             self.accepted[:] = -1
             done = np.flatnonzero(finished)
             if len(done):
-                self.halt_nodes(done, [frozenset()] * len(done))
+                self.halt_nodes(done)
         elif phase == 1:
             sources = np.flatnonzero(self.proposed >= 0)
             sends = self.proposed[sources]
@@ -846,16 +818,10 @@ class VectorGreedyMatchingIds(VectorProgram):
             sorted_src = src[order]
             matched_src = sorted_src[acc & delivered]
             matched = vg.port_node[matched_src]
-            halting = np.concatenate([acceptors, matched])
-            out_port = np.concatenate(
-                [vg.local[winners], vg.local[matched_src]]
-            )
-            by_node = np.argsort(halting)
-            halting = halting[by_node]
-            out_port = out_port[by_node]
+            # each newly matched node outputs its matching port
+            halting = np.sort(np.concatenate([acceptors, matched]))
             if len(halting):
                 self.halt_nodes(
-                    halting,
-                    [frozenset({int(p)}) for p in out_port.tolist()],
+                    halting, np.concatenate([winners, matched_src])
                 )
             self.proposed[:] = -1

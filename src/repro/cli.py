@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--engine", choices=ENGINES, default=None,
         help="simulation engine for the run (default: the scheduler's "
-        "own choice; 'vector' needs the numpy [vector] extra, 'auto' "
-        "falls back to 'compiled' without it)",
+        "own choice; 'vector' and 'auto' fall back to 'compiled' for "
+        "algorithms without a vector kernel)",
     )
 
     profile = sub.add_parser(

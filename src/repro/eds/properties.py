@@ -5,19 +5,22 @@ A set ``D`` of edges is an *edge dominating set* (EDS) when every edge of
 the graph is dominated by some edge of ``D``.  These predicates operate on
 sets of :class:`~repro.portgraph.ports.PortEdge` and are deliberately
 independent of the matching substrate (no import cycle).
+:func:`is_edge_dominating_set` also reads a simulation's mask-backed
+:class:`~repro.runtime.outputs.EdgeSelection` straight off its port mask.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
+try:  # pragma: no cover - numpy is a core dependency
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
+from repro.runtime.outputs import EdgeSelection
 
 __all__ = [
     "dominates",
@@ -79,6 +82,11 @@ def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
             k = index.get(v)
             if k is not None:
                 covered[k] = True
+    return _covers_every_edge(compiled, covered)
+
+
+def _covers_every_edge(compiled, covered) -> bool:
+    """Whether every edge has an endpoint in the node mask *covered*."""
     port_node = _np.frombuffer(compiled.port_node, dtype=_np.int64)
     mate = _np.frombuffer(compiled.mate, dtype=_np.int64)
     owner = covered[port_node]
@@ -88,7 +96,15 @@ def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
 def is_edge_dominating_set(
     graph: PortNumberedGraph, dominating: Iterable[PortEdge]
 ) -> bool:
-    """True when every edge of *graph* is dominated (paper §1.1)."""
+    """True when every edge of *graph* is dominated (paper §1.1).
+
+    A mask-backed selection of this same graph is checked on its port
+    mask without building a single :class:`PortEdge`.
+    """
+    if isinstance(dominating, EdgeSelection) and dominating.graph is graph:
+        return _covers_every_edge(
+            graph.compiled(), dominating.covered_nodes()
+        )
     fast = _is_eds_arrays(graph, dominating)
     if fast is not None:
         return fast

@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.engine.spec import JobSpec, canonical_json
 from repro.obs.session import current_session
@@ -186,11 +186,22 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> dict[str, Any] | None:
+    def get(
+        self,
+        key: str,
+        parse: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> Any:
         """Return the cached record for *key*, or ``None`` on a miss.
 
         Corrupt entries (truncated writes from killed runs, manual edits)
         count as misses and are recomputed and overwritten.
+
+        With *parse* (the executor passes
+        :meth:`ResultRecord.from_json_dict`) the entry must also be the
+        record *of this key*: an entry whose stored ``key`` differs, or
+        that *parse* rejects (a missing field or a wrong type), is a
+        logged miss too, and a hit returns the parsed value instead of
+        the raw dict.
         """
         path = self.path_for(key)
         session = current_session()
@@ -210,6 +221,21 @@ class ResultCache:
                 "malformed cache entry %s (not a record) — recomputing", path
             )
             return self._miss(session, started)
+        if parse is not None:
+            if record.get("key") != key:
+                logger.warning(
+                    "cache entry %s holds the record of key %r — "
+                    "recomputing and overwriting", path, record.get("key"),
+                )
+                return self._miss(session, started)
+            try:
+                record = parse(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                logger.warning(
+                    "malformed cache entry %s (%s: %s) — recomputing and "
+                    "overwriting", path, type(exc).__name__, exc,
+                )
+                return self._miss(session, started)
         self.hits += 1
         if session is not None:
             session.metrics.inc("cache.hit")

@@ -222,9 +222,9 @@ def run_units(
 
     if cache is not None:
         for index, key in enumerate(keys):
-            cached = cache.get(key)
+            cached = cache.get(key, parse=ResultRecord.from_json_dict)
             if cached is not None:
-                records[index] = ResultRecord.from_json_dict(cached)
+                records[index] = cached
     hits = len(records)
     missing = [i for i in range(len(units)) if i not in records]
     done = hits

@@ -40,9 +40,9 @@ from collections import deque
 from repro.exceptions import ConstructionError
 from repro.portgraph.arrays import ArrayGraph
 
-try:  # numpy is optional (the [vector] extra)
+try:  # the fallback is tested by monkeypatching ``_np`` to None
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy job
+except ImportError:  # pragma: no cover - numpy is a core dependency
     _np = None
 
 __all__ = ["pairing_regular"]

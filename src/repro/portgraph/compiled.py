@@ -152,7 +152,7 @@ class CompiledGraph:
     def vector(self):
         """The numpy struct-of-arrays view of this graph, memoised.
 
-        Requires the optional ``[vector]`` extra; callers check
+        Callers still check
         :func:`repro.portgraph.vector.numpy_available` first (the
         vector engine falls back to the compiled loop when numpy is
         missing).

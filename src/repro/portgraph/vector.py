@@ -11,17 +11,16 @@ compiled graph and memoised alongside the other derived tables
 (``CompiledGraph.memo``), so repeated runs share it exactly like the
 batch programs share their schedules.
 
-numpy is an *optional* dependency (the ``[vector]`` extra).  This
-module imports without it — :data:`np` is ``None`` and
-:func:`numpy_available` answers ``False`` — and every consumer is
-expected to check availability before constructing a view.
+numpy is a core dependency.  The guarded import below (:data:`np` is
+``None`` and :func:`numpy_available` answers ``False`` without it)
+predates that and stays until the no-numpy fallbacks are deleted.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
+try:  # pragma: no cover - numpy is a core dependency
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
@@ -119,23 +118,6 @@ class VectorGraph:
         if (self.degrees == 0).any():
             out = np.where(self.degrees == 0, empty, out)
         return out
-
-    def port_sets(self, mask) -> "list[frozenset[int]]":
-        """Per-node frozensets of the local ports selected by *mask*.
-
-        The one deliberately-Python step of the vector engine: outputs
-        are materialised once per run, after the array loop finishes.
-        """
-        selected = np.flatnonzero(mask)
-        locs = self.local[selected].tolist()
-        owners = self.port_node[selected]
-        bounds = np.searchsorted(
-            owners, np.arange(self.num_nodes + 1, dtype=np.int64)
-        )
-        return [
-            frozenset(locs[bounds[k]:bounds[k + 1]])
-            for k in range(self.num_nodes)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorGraph(n={self.num_nodes}, ports={self.num_ports})"

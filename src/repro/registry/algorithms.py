@@ -29,7 +29,7 @@ Built-in algorithms register themselves where they are defined (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import AbstractSet, Any, Callable, Mapping
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
@@ -61,7 +61,7 @@ __all__ = [
 #: Computation models an algorithm can declare.
 MODELS = ("anonymous", "identified", "randomized", "central")
 
-Runner = Callable[[PortNumberedGraph], tuple[frozenset[PortEdge], int]]
+Runner = Callable[[PortNumberedGraph], tuple[AbstractSet[PortEdge], int]]
 TracedRunner = Callable[[PortNumberedGraph], RunResult]
 
 
@@ -69,7 +69,10 @@ TracedRunner = Callable[[PortNumberedGraph], RunResult]
 class BoundAlgorithm:
     """An algorithm with parameters (and RNG, if any) bound — runnable.
 
-    ``run`` executes on a graph and returns ``(edge_set, rounds)``.
+    ``run`` executes on a graph and returns ``(edge_set, rounds)``;
+    simulated models return the run's mask-backed
+    :class:`~repro.runtime.outputs.EdgeSelection` (see
+    :meth:`RunResult.edge_set <repro.runtime.scheduler.RunResult.edge_set>`).
     ``factory`` exposes the raw node-program factory for anonymous-model
     algorithms (the adversary and trace drivers need it); ``traced``
     re-runs with message tracing enabled and returns the full

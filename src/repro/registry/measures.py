@@ -28,7 +28,7 @@ Built-ins — ``quality``, ``comparison``, ``adversary``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Any, Mapping
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
@@ -52,11 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgorithmRun:
-    """What one algorithm execution produced, as seen by a measure."""
+    """What one algorithm execution produced, as seen by a measure.
+
+    ``edge_set`` equals (and hashes like) the ``frozenset[PortEdge]`` of
+    the selected edges.  For simulated algorithms it is the run's
+    mask-backed :class:`~repro.runtime.outputs.EdgeSelection`: its
+    ``len()`` and feasibility are array operations, and iterating it
+    decodes the edges once.
+    """
 
     spec: "JobSpec"
     algorithm: "BoundAlgorithm"
-    edge_set: frozenset[PortEdge]
+    edge_set: AbstractSet[PortEdge]
     rounds: int
     trace: "ExecutionTrace | None" = None
 

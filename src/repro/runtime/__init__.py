@@ -8,6 +8,7 @@ from repro.runtime.algorithm import (
 )
 from repro.runtime.batch import ABSENT, BatchProgram
 from repro.runtime.outputs import (
+    EdgeSelection,
     check_consistency,
     decode_edge_set,
     edge_set_to_outputs,
@@ -35,6 +36,7 @@ __all__ = [
     "vector_available",
     "engines_available",
     "RunResult",
+    "EdgeSelection",
     "run_anonymous",
     "run_identified",
     "use_engine",

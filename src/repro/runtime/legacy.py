@@ -28,6 +28,7 @@ from repro.obs.spans import current_recorder
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node
 from repro.runtime.algorithm import NodeProgram
+from repro.runtime.outputs import pack_outputs
 from repro.runtime.trace import ExecutionTrace, RoundTrace, SentMessage
 
 __all__ = ["execute_legacy"]
@@ -112,12 +113,11 @@ def execute_legacy(
             trace.rounds.append(round_trace)
         rnd += 1
 
-    outputs: dict[Node, frozenset[int]] = {}
-    for v, prog in programs.items():
-        assert prog.output is not None  # halted implies output set
-        outputs[v] = prog.output
     if rec is not None:
         from repro.runtime.scheduler import _record_run
 
         _record_run(rec, rnd, n_delivered, n_dropped)
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+    selected = pack_outputs(
+        graph.compiled(), [programs[v].output for v in graph.nodes]
+    )
+    return RunResult(graph, selected, rnd, trace)

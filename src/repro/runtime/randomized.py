@@ -26,6 +26,7 @@ from repro.runtime.algorithm import NodeProgram
 from repro.runtime.scheduler import (
     DEFAULT_MAX_ROUNDS,
     RunResult,
+    _make_programs,
     _resolve_engine,
     _run_programs,
 )
@@ -47,13 +48,12 @@ def run_randomized(
 ) -> RunResult:
     """Run a randomised anonymous algorithm with reproducible coins."""
     master = random.Random(seed)
-    programs: dict = {}
-    for v in graph.nodes:
-        node_rng = random.Random(master.getrandbits(64))
-        prog = algorithm(graph.degree(v), node_rng)
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
+    programs = _make_programs(
+        graph,
+        lambda v: algorithm(
+            graph.degree(v), random.Random(master.getrandbits(64))
+        ),
+    )
     return _run_programs(
         graph, programs, _resolve_engine(engine), max_rounds, record_trace,
         False,

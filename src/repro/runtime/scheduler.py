@@ -10,7 +10,8 @@ Each round the scheduler
 
 The run ends when every node has halted; a configurable round limit
 guards against non-terminating programs.  :class:`RunResult` bundles the
-outputs, the round count, and (optionally) a full message trace.
+outputs (as one selected-port mask, whichever engine ran), the round
+count, and (optionally) a full message trace.
 
 Execution engines
 -----------------
@@ -29,11 +30,8 @@ share the public entry points:
   all nodes in one call per round instead of ``2·n`` dispatches;
 * ``"vector"`` — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
-  array operations.  Needs the optional ``[vector]`` extra (numpy) —
-  selecting it explicitly without numpy raises
-  :class:`~repro.exceptions.SimulationError`; algorithms without a
-  vector kernel fall back to the compiled engine with a one-time
-  logged notice;
+  array operations.  Algorithms without a vector kernel fall back to
+  the compiled engine with a one-time logged notice;
 * ``"auto"`` — ``"vector"`` when numpy and a vector kernel are
   available, silently ``"compiled"`` otherwise;
 * ``"pernode"`` — the flat-array loop with batch stepping disabled
@@ -54,19 +52,27 @@ import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Iterator, Mapping
+
+import numpy as np
 
 from repro.exceptions import RoundLimitExceeded, SimulationError
-from repro.obs.spans import current_recorder
+from repro.obs.spans import current_recorder, span
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, PortEdge
+from repro.portgraph.ports import Node
 from repro.runtime.algorithm import (
     AnonymousAlgorithm,
     IdentifiedAlgorithm,
     NodeProgram,
 )
 from repro.runtime.batch import BatchProgram
-from repro.runtime.outputs import decode_edge_set
+from repro.runtime.outputs import (
+    EdgeSelection,
+    check_selection,
+    pack_outputs,
+    unpack_outputs,
+)
 from repro.runtime.trace import ExecutionTrace, trace_from_log
 
 __all__ = [
@@ -119,21 +125,54 @@ def _resolve_engine(engine: str | None) -> str:
     return engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    ``selected`` is the result every engine returns: one boolean mask
+    over the graph's global ports (indexed like ``graph.compiled()``),
+    true where the owning node announced the port in its output
+    ``X(v)``.  The per-node :attr:`outputs` mapping and the decoded edge
+    set are derived from it lazily and cached, so a consumer that only
+    needs the solution size or its feasibility never builds them.
+    """
 
     graph: PortNumberedGraph
-    outputs: Mapping[Node, frozenset[int]]
+    selected: np.ndarray
     rounds: int
     trace: ExecutionTrace | None = None
 
-    def edge_set(self) -> frozenset[PortEdge]:
-        """Decode the outputs into the selected edge set (checked)."""
-        return decode_edge_set(self.graph, self.outputs)
+    @cached_property
+    def outputs(self) -> Mapping[Node, frozenset[int]]:
+        """Node → announced port set ``X(v)``."""
+        return unpack_outputs(self.graph.compiled(), self.selected)
+
+    @cached_property
+    def _selection(self) -> EdgeSelection:
+        check_selection(self.graph.compiled(), self.selected)
+        return EdgeSelection(self.graph, self.selected)
+
+    def edge_set(self) -> EdgeSelection:
+        """The selected edge set, §2.2-checked on first call.
+
+        Equal to (and hashing like) the ``frozenset[PortEdge]`` of the
+        selected edges; see :class:`~repro.runtime.outputs.EdgeSelection`
+        for what is computed on the mask and what decodes edges.
+        """
+        return self._selection
 
     def output_of(self, node: Node) -> frozenset[int]:
         return self.outputs[node]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return (
+            self.graph == other.graph
+            and self.rounds == other.rounds
+            and self.trace == other.trace
+            and bool(np.array_equal(self.selected, other.selected))
+        )
 
 
 def _execute(
@@ -174,86 +213,93 @@ def _execute(
     n_delivered = 0
     n_dropped = 0
 
-    while num_running:
-        if rnd >= max_rounds:
-            raise RoundLimitExceeded(
-                f"{num_running} node(s) still running after "
-                f"{max_rounds} rounds"
-            )
+    with span("simulate:rounds"):
+        while num_running:
+            if rnd >= max_rounds:
+                raise RoundLimitExceeded(
+                    f"{num_running} node(s) still running after "
+                    f"{max_rounds} rounds"
+                )
 
-        log: list | None = [] if record_trace else None
+            log: list | None = [] if record_trace else None
 
-        # 1. collect sends from running nodes (fixed construction order)
-        for k in range(n):
-            if not running[k]:
-                continue
-            out = progs[k].send(rnd)
-            if not out:
-                continue
-            base = offsets[k]
-            degree = degrees[k]
-            for port, payload in out.items():
-                if not 1 <= port <= degree:
-                    raise SimulationError(
-                        f"node {nodes[k]!r} sent on invalid port {port} "
-                        f"(degree {degree})"
-                    )
-                target = mate[base + port - 1]
-                tk = port_node[target]
-                if running[tk]:
-                    box = inboxes[tk]
-                    if not box:
-                        touched.append(tk)
-                    box[target - offsets[tk] + 1] = payload
-                    if log is not None:
-                        log.append((base + port - 1, target, payload, False))
-                else:
-                    # Messages to halted nodes are dropped (their
-                    # programs no longer receive); the paper's algorithms
-                    # halt simultaneously so this never fires for them.
-                    if strict_delivery:
+            # 1. collect sends from running nodes (fixed construction order)
+            for k in range(n):
+                if not running[k]:
+                    continue
+                out = progs[k].send(rnd)
+                if not out:
+                    continue
+                base = offsets[k]
+                degree = degrees[k]
+                for port, payload in out.items():
+                    if not 1 <= port <= degree:
                         raise SimulationError(
-                            f"node {nodes[k]!r} sent to halted node "
-                            f"{nodes[tk]!r} in round {rnd} "
-                            "(strict_delivery is enabled)"
+                            f"node {nodes[k]!r} sent on invalid port {port} "
+                            f"(degree {degree})"
                         )
-                    n_dropped += 1
-                    if log is not None:
-                        log.append((base + port - 1, target, payload, True))
+                    target = mate[base + port - 1]
+                    tk = port_node[target]
+                    if running[tk]:
+                        box = inboxes[tk]
+                        if not box:
+                            touched.append(tk)
+                        box[target - offsets[tk] + 1] = payload
+                        if log is not None:
+                            log.append(
+                                (base + port - 1, target, payload, False)
+                            )
+                    else:
+                        # Messages to halted nodes are dropped (their
+                        # programs no longer receive); the paper's algorithms
+                        # halt simultaneously so this never fires for them.
+                        if strict_delivery:
+                            raise SimulationError(
+                                f"node {nodes[k]!r} sent to halted node "
+                                f"{nodes[tk]!r} in round {rnd} "
+                                "(strict_delivery is enabled)"
+                            )
+                        n_dropped += 1
+                        if log is not None:
+                            log.append(
+                                (base + port - 1, target, payload, True)
+                            )
 
-        if rec is not None:
+            if rec is not None:
+                for tk in touched:
+                    n_delivered += len(inboxes[tk])
+
+            # 2. deliver and let nodes step / halt
+            newly_halted: list[int] = []
+            for k in range(n):
+                if not running[k]:
+                    continue
+                prog = progs[k]
+                prog.receive(rnd, inboxes[k])
+                if prog.halted:
+                    newly_halted.append(k)
+            for k in newly_halted:
+                running[k] = 0
+            num_running -= len(newly_halted)
             for tk in touched:
-                n_delivered += len(inboxes[tk])
+                inboxes[tk].clear()
+            touched.clear()
 
-        # 2. deliver and let nodes step / halt
-        newly_halted: list[int] = []
-        for k in range(n):
-            if not running[k]:
-                continue
-            prog = progs[k]
-            prog.receive(rnd, inboxes[k])
-            if prog.halted:
-                newly_halted.append(k)
-        for k in newly_halted:
-            running[k] = 0
-        num_running -= len(newly_halted)
-        for tk in touched:
-            inboxes[tk].clear()
-        touched.clear()
+            if rounds_log is not None:
+                rounds_log.append((log, newly_halted))
+            rnd += 1
 
-        if rounds_log is not None:
-            rounds_log.append((log, newly_halted))
-        rnd += 1
-
-    outputs: dict[Node, frozenset[int]] = {}
-    for k, v in enumerate(nodes):
-        out = progs[k].output
-        assert out is not None  # halted implies output set
-        outputs[v] = out
     if rec is not None:
         _record_run(rec, rnd, n_delivered, n_dropped)
-    trace = trace_from_log(cg, rounds_log) if rounds_log is not None else None
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+    with span("simulate:egress"):
+        # The loop exits only when every node halted, so every
+        # program has announced its output.
+        selected = pack_outputs(cg, [prog.output for prog in progs])
+        trace = (
+            trace_from_log(cg, rounds_log) if rounds_log is not None
+            else None
+        )
+    return RunResult(graph, selected, rnd, trace)
 
 
 def _record_run(rec, rounds: int, delivered: float, dropped: float) -> None:
@@ -281,28 +327,30 @@ def _execute_batch(
     rounds_log: list | None = [] if record_trace else None
     rnd = 0
 
-    while batch.num_running:
-        if rnd >= max_rounds:
-            raise RoundLimitExceeded(
-                f"{batch.num_running} node(s) still running after "
-                f"{max_rounds} rounds"
-            )
-        log = batch.step_all(rnd, inbox)
-        if rounds_log is not None:
-            rounds_log.append((log, list(batch.newly_halted)))
-        rnd += 1
+    with span("simulate:rounds"):
+        while batch.num_running:
+            if rnd >= max_rounds:
+                raise RoundLimitExceeded(
+                    f"{batch.num_running} node(s) still running after "
+                    f"{max_rounds} rounds"
+                )
+            log = batch.step_all(rnd, inbox)
+            if rounds_log is not None:
+                rounds_log.append((log, list(batch.newly_halted)))
+            rnd += 1
 
     cg = batch.cg
-    outputs: dict[Node, frozenset[int]] = {}
-    for k, v in enumerate(cg.nodes):
-        out = batch.outputs[k]
-        assert out is not None  # loop exits only when all nodes halted
-        outputs[v] = out
     if rec is not None:
         _record_run(rec, rnd, batch.delivered, batch.dropped)
         rec.annotate(batch=True)
-    trace = trace_from_log(cg, rounds_log) if rounds_log is not None else None
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+    with span("simulate:egress"):
+        # The loop exits only when every node halted with an output.
+        selected = pack_outputs(cg, batch.outputs)
+        trace = (
+            trace_from_log(cg, rounds_log) if rounds_log is not None
+            else None
+        )
+    return RunResult(graph, selected, rnd, trace)
 
 
 def _execute_vector(
@@ -312,36 +360,38 @@ def _execute_vector(
     record_trace: bool,
     strict_delivery: bool = False,
 ) -> RunResult:
-    """The vector round loop: one array-ops ``step_all`` per round."""
+    """The vector round loop: one array-ops ``step_all`` per round.
+
+    The kernel writes its selected-port mask as nodes halt, so egress is
+    only the trace materialisation (when one was requested).
+    """
     vec.record = record_trace
     vec.strict = strict_delivery
     rec = current_recorder()
     vec.collect = rec is not None
     rnd = 0
 
-    while vec.num_running:
-        if rnd >= max_rounds:
-            raise RoundLimitExceeded(
-                f"{vec.num_running} node(s) still running after "
-                f"{max_rounds} rounds"
-            )
-        vec.step_all(rnd)
-        rnd += 1
+    with span("simulate:rounds"):
+        while vec.num_running:
+            if rnd >= max_rounds:
+                raise RoundLimitExceeded(
+                    f"{vec.num_running} node(s) still running after "
+                    f"{max_rounds} rounds"
+                )
+            vec.step_all(rnd)
+            rnd += 1
 
     cg = vec.cg
-    outputs: dict[Node, frozenset[int]] = {}
-    for k, v in enumerate(cg.nodes):
-        out = vec.outputs[k]
-        assert out is not None  # loop exits only when all nodes halted
-        outputs[v] = out
     if rec is not None:
         _record_run(rec, rnd, vec.delivered, vec.dropped)
         rec.count("runtime.vector.runs")
         rec.annotate(vector=True)
-    trace = None
-    if record_trace:
-        trace = trace_from_log(cg, vec.materialise_log())
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+    with span("simulate:egress"):
+        trace = (
+            trace_from_log(cg, vec.materialise_log()) if record_trace
+            else None
+        )
+    return RunResult(graph, vec.selected, rnd, trace)
 
 
 #: Algorithms already reported as lacking a vector kernel (the
@@ -353,16 +403,16 @@ def engines_available() -> "dict[str, bool]":
     """Engine name → availability in this environment.
 
     Everything but ``"vector"`` is always available; ``"vector"`` needs
-    the optional numpy dependency (``"auto"`` is listed available
-    regardless — it silently falls back).  The CLI surfaces this in
-    ``repro-eds demo`` / ``profile``.
+    numpy to be importable (``"auto"`` is listed available regardless —
+    it silently falls back).  The CLI surfaces this in ``repro-eds
+    demo`` / ``profile``.
     """
     from repro.runtime.vector import vector_available
 
     return {name: name != "vector" or vector_available() for name in ENGINES}
 
 
-def _make_vector_program(algorithm, graph, ids, explicit: bool):
+def _make_vector_program(algorithm, graph, hook_args, explicit: bool):
     """Resolve an algorithm's vector kernel, or ``None`` to fall back.
 
     Explicitly requesting ``engine="vector"`` without numpy is an
@@ -376,14 +426,12 @@ def _make_vector_program(algorithm, graph, ids, explicit: bool):
         if explicit:
             raise SimulationError(
                 "engine='vector' requires numpy, which is not installed; "
-                "install the optional extra (pip install repro-eds[vector]) "
-                "or use engine='auto' to fall back automatically"
+                "install it (pip install repro-eds[vector]) or use "
+                "engine='auto' to fall back automatically"
             )
         return None
     hook = getattr(algorithm, "vector_program", None)
-    vec = None
-    if hook is not None:
-        vec = hook(graph) if ids is None else hook(graph, ids)
+    vec = None if hook is None else hook(graph, *hook_args)
     if vec is None and explicit:
         name = getattr(algorithm, "__name__", None) or type(algorithm).__name__
         if name not in _vector_fallback_seen:
@@ -403,6 +451,20 @@ def _annotate_engine(resolved: str) -> None:
         rec.annotate(engine=resolved)
 
 
+def _make_programs(
+    graph: PortNumberedGraph, make_program: Callable[[Node], NodeProgram]
+) -> dict[Node, NodeProgram]:
+    """One program per node; degree-0 nodes halt at once with ∅."""
+    programs: dict[Node, NodeProgram] = {}
+    with span("simulate:setup"):
+        for v in graph.nodes:
+            prog = make_program(v)
+            if graph.degree(v) == 0 and not prog.halted:
+                prog.halt(frozenset())
+            programs[v] = prog
+    return programs
+
+
 def _run_programs(
     graph: PortNumberedGraph,
     programs: dict[Node, NodeProgram],
@@ -418,6 +480,50 @@ def _run_programs(
             graph, programs, max_rounds, record_trace, strict_delivery
         )
     return _execute(graph, programs, max_rounds, record_trace, strict_delivery)
+
+
+def _dispatch(
+    graph: PortNumberedGraph,
+    algorithm,
+    hook_args: tuple,
+    make_program: Callable[[Node], NodeProgram],
+    engine: str | None,
+    max_rounds: int,
+    record_trace: bool,
+    strict_delivery: bool,
+) -> RunResult:
+    """Pick the engine, build its kernel or programs, and run it.
+
+    *hook_args* follow the graph in the ``vector_program`` /
+    ``batch_program`` hook calls (``()`` anonymous, ``(ids,)``
+    identified).
+    """
+    resolved = _resolve_engine(engine)
+    if resolved in ("vector", "auto"):
+        with span("simulate:setup"):
+            vec = _make_vector_program(
+                algorithm, graph, hook_args, explicit=resolved == "vector"
+            )
+        if vec is not None:
+            _annotate_engine("vector")
+            return _execute_vector(
+                graph, vec, max_rounds, record_trace, strict_delivery
+            )
+        resolved = "compiled"
+    _annotate_engine(resolved)
+    if resolved == "compiled":
+        make_batch = getattr(algorithm, "batch_program", None)
+        if make_batch is not None:
+            with span("simulate:setup"):
+                batch = make_batch(graph, *hook_args)
+            if batch is not None:
+                return _execute_batch(
+                    graph, batch, max_rounds, record_trace, strict_delivery
+                )
+    programs = _make_programs(graph, make_program)
+    return _run_programs(
+        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    )
 
 
 def run_anonymous(
@@ -449,35 +555,9 @@ def run_anonymous(
     the compiled engine a factory exposing ``batch_program(graph)``
     (see :mod:`repro.runtime.batch`) is stepped all-nodes-at-once.
     """
-    resolved = _resolve_engine(engine)
-    if resolved in ("vector", "auto"):
-        vec = _make_vector_program(
-            algorithm, graph, None, explicit=resolved == "vector"
-        )
-        if vec is not None:
-            _annotate_engine("vector")
-            return _execute_vector(
-                graph, vec, max_rounds, record_trace, strict_delivery
-            )
-        resolved = "compiled"
-    _annotate_engine(resolved)
-    if resolved == "compiled":
-        make_batch = getattr(algorithm, "batch_program", None)
-        if make_batch is not None:
-            batch = make_batch(graph)
-            if batch is not None:
-                return _execute_batch(
-                    graph, batch, max_rounds, record_trace, strict_delivery
-                )
-
-    programs: dict[Node, NodeProgram] = {}
-    for v in graph.nodes:
-        prog = algorithm(graph.degree(v))
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    return _dispatch(
+        graph, algorithm, (), lambda v: algorithm(graph.degree(v)),
+        engine, max_rounds, record_trace, strict_delivery,
     )
 
 
@@ -503,34 +583,8 @@ def run_identified(
         ids = {v: k for k, v in enumerate(graph.nodes)}
     if len(set(ids.values())) != graph.num_nodes:
         raise SimulationError("node identifiers must be unique")
-
-    resolved = _resolve_engine(engine)
-    if resolved in ("vector", "auto"):
-        vec = _make_vector_program(
-            algorithm, graph, ids, explicit=resolved == "vector"
-        )
-        if vec is not None:
-            _annotate_engine("vector")
-            return _execute_vector(
-                graph, vec, max_rounds, record_trace, strict_delivery
-            )
-        resolved = "compiled"
-    _annotate_engine(resolved)
-    if resolved == "compiled":
-        make_batch = getattr(algorithm, "batch_program", None)
-        if make_batch is not None:
-            batch = make_batch(graph, ids)
-            if batch is not None:
-                return _execute_batch(
-                    graph, batch, max_rounds, record_trace, strict_delivery
-                )
-
-    programs: dict[Node, NodeProgram] = {}
-    for v in graph.nodes:
-        prog = algorithm(graph.degree(v), ids[v])
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    return _dispatch(
+        graph, algorithm, (ids,),
+        lambda v: algorithm(graph.degree(v), ids[v]),
+        engine, max_rounds, record_trace, strict_delivery,
     )

@@ -22,8 +22,8 @@ gports plus a payload code and up to two int columns — and
 same :func:`~repro.runtime.trace.trace_from_log` path as the compiled
 engine.
 
-numpy is optional (the ``[vector]`` extra): this module imports without
-it, and :func:`vector_available` gates every construction site.
+numpy is a core dependency; :func:`vector_available` still gates every
+construction site until the no-numpy fallbacks are deleted.
 """
 
 from __future__ import annotations
@@ -106,10 +106,13 @@ class VectorProgram(abc.ABC):
     """All nodes of one graph, stepped together as numpy arrays.
 
     Mirrors the :class:`~repro.runtime.batch.BatchProgram` surface the
-    scheduler reads — ``running``/``num_running``, ``outputs``,
-    ``newly_halted``, the ``record``/``strict``/``collect`` flags and
-    the ``delivered``/``dropped`` counters — but ``running`` is a numpy
-    bool array and one :meth:`step_all` is array ops end to end.
+    scheduler reads — ``running``/``num_running``, ``newly_halted``, the
+    ``record``/``strict``/``collect`` flags and the
+    ``delivered``/``dropped`` counters — but ``running`` is a numpy bool
+    array and one :meth:`step_all` is array ops end to end.  Outputs are
+    not per-node sets: halting nodes write their ports into
+    ``selected``, the global-port mask the scheduler returns as
+    :attr:`RunResult.selected <repro.runtime.scheduler.RunResult.selected>`.
 
     Subclasses implement :meth:`_step`; the base class owns the round
     scaffolding, drop/strict accounting (:meth:`deliver`) and the lazy
@@ -121,7 +124,7 @@ class VectorProgram(abc.ABC):
         "vg",
         "running",
         "num_running",
-        "outputs",
+        "selected",
         "newly_halted",
         "record",
         "strict",
@@ -142,9 +145,7 @@ class VectorProgram(abc.ABC):
         # with empty output, exactly like the other engines.
         self.running = vg.degrees > 0
         self.num_running = int(self.running.sum())
-        self.outputs: list[frozenset[int] | None] = [
-            None if degree > 0 else frozenset() for degree in cg.degrees
-        ]
+        self.selected = np.zeros(vg.num_ports, dtype=bool)
         self.newly_halted: list[int] = []
         self.record = False
         self.strict = False
@@ -217,14 +218,18 @@ class VectorProgram(abc.ABC):
         dropped = None if delivered is None else ~delivered
         self._slabs[-1].append((gports, code, a, b, dropped))
 
-    def halt_nodes(self, ks, outputs) -> None:
-        """Halt the nodes with indices *ks* (ascending) with *outputs*."""
-        out = self.outputs
-        for k, result in zip(ks, outputs):
-            out[k] = result
+    def halt_nodes(self, ks, ports=None) -> None:
+        """Halt the nodes with indices *ks* (ascending).
+
+        *ports* — an index array or a full-length bool mask over global
+        ports — are the ports those nodes output; they must belong to
+        *ks*.  ``None`` halts them with empty output.
+        """
+        if ports is not None:
+            self.selected[ports] = True
         self.running[ks] = False
         self.num_running -= len(ks)
-        self.newly_halted.extend(int(k) for k in ks)
+        self.newly_halted.extend(ks.tolist())
 
     # -- lazy trace --------------------------------------------------------
 

@@ -5,14 +5,21 @@ rather than producing silently wrong science.  These tests feed the
 scheduler programs that break each rule in turn — and check that the
 degraded-but-legal case (sends to halted nodes, silently dropped) is
 *observable*: the runtime reports delivered/dropped message counts
-through the telemetry recorder, identically on every engine.
+through the telemetry recorder, identically on every engine.  A corrupt
+result-cache entry must cost a recomputation, never a wrong record or an
+aborted sweep.
 """
 
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 import pytest
 
+from repro.engine.cache import ResultCache, cache_key
+from repro.engine.executor import run_units
+from repro.engine.spec import GraphSpec, JobSpec
 from repro.exceptions import (
     InconsistentOutputError,
     RoundLimitExceeded,
@@ -203,3 +210,72 @@ class TestOutputGuards:
             decode_edge_set(
                 graph, {0: frozenset({1}), 1: frozenset()}
             )
+
+
+class TestCacheReadValidation:
+    """A corrupt cache entry is a logged miss: recomputed, overwritten,
+    and never served as another unit's record or allowed to abort the
+    sweep."""
+
+    @staticmethod
+    def units():
+        return [
+            JobSpec(
+                algorithm,
+                GraphSpec.make("regular", seed=seed, d=3, n=12),
+                optimum="none",
+            )
+            for algorithm in ("port_one", "regular_odd")
+            for seed in (1, 2)
+        ]
+
+    @staticmethod
+    def sweep(cache):
+        return run_units(TestCacheReadValidation.units(), cache=cache,
+                         backend="inline")
+
+    def test_swapped_entries_are_recomputed(self, tmp_path, caplog):
+        cache = ResultCache(tmp_path)
+        first = self.sweep(cache)
+        keys = [cache_key(unit) for unit in self.units()]
+        a, b = cache.path_for(keys[0]), cache.path_for(keys[1])
+        a_bytes, b_bytes = a.read_bytes(), b.read_bytes()
+        a.write_bytes(b_bytes)
+        b.write_bytes(a_bytes)
+
+        with caplog.at_level("WARNING", logger="repro.engine.cache"):
+            again = self.sweep(ResultCache(tmp_path))
+        assert [r.key for r in again.records] == keys
+        assert again.records == first.records
+        assert again.computed == 2 and again.cache_hits == len(keys) - 2
+        assert sum("holds the record of key" in r.getMessage()
+                   for r in caplog.records) == 2
+        assert json.loads(a.read_bytes())["key"] == keys[0]
+        assert json.loads(b.read_bytes())["key"] == keys[1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda record: record.pop("algorithm"),  # missing field
+            lambda record: record.update(extra=7),  # wrong type
+        ],
+        ids=["missing-field", "wrong-type"],
+    )
+    def test_unparseable_record_is_recomputed(self, tmp_path, caplog,
+                                              damage):
+        cache = ResultCache(tmp_path)
+        first = self.sweep(cache)
+        key = cache_key(self.units()[2])
+        record = json.loads(cache.path_for(key).read_text())
+        damage(record)
+        cache.path_for(key).write_text(json.dumps(record))
+
+        with caplog.at_level("WARNING", logger="repro.engine.cache"):
+            again = self.sweep(ResultCache(tmp_path))
+        assert again.records == first.records
+        assert again.computed == 1
+        assert any("malformed cache entry" in r.getMessage()
+                   for r in caplog.records)
+        assert json.loads(cache.path_for(key).read_text()) == (
+            first.records[2].to_json_dict()
+        )

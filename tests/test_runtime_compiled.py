@@ -80,8 +80,7 @@ def build(family: str, params: dict):
 
 def candidate_engines() -> list[str]:
     """Every engine the differential matrix must hold against the
-    legacy reference.  ``vector`` joins only when numpy is installed —
-    the no-numpy CI job runs the same suite and must stay green
+    legacy reference.  ``vector`` joins only when numpy is importable
     (``auto`` is always testable: it degrades to ``compiled``)."""
     engines = ["compiled", "pernode", "auto"]
     if vector_available():

@@ -7,8 +7,7 @@ matrix cannot: the engine-selection contract — ``auto`` degrading
 silently, explicit ``vector`` raising without numpy, the one-time
 fallback notice for algorithms without a vector kernel — plus the
 vector-specific plumbing (memoised :class:`VectorGraph` views, lazy
-trace slabs, telemetry annotations).  Everything here runs (or
-explicitly skips) on the no-numpy CI job too.
+trace slabs, telemetry annotations).
 """
 
 from __future__ import annotations
