@@ -18,8 +18,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
+from repro.engine.records import ResultRecord
 from repro.engine.spec import JobSpec, canonical_json
 from repro.obs.session import current_session
 
@@ -176,7 +177,8 @@ def cache_key(spec: JobSpec) -> str:
 
 
 class ResultCache:
-    """Filesystem-backed key → record-dict store with hit/miss counters."""
+    """Filesystem-backed key → :class:`ResultRecord` store with hit/miss
+    counters."""
 
     def __init__(self, root: str | os.PathLike[str] = DEFAULT_CACHE_DIR):
         self.root = Path(root)
@@ -186,29 +188,21 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(
-        self,
-        key: str,
-        parse: Callable[[dict[str, Any]], Any] | None = None,
-    ) -> Any:
+    def get(self, key: str) -> ResultRecord | None:
         """Return the cached record for *key*, or ``None`` on a miss.
 
         Corrupt entries (truncated writes from killed runs, manual edits)
-        count as misses and are recomputed and overwritten.
-
-        With *parse* (the executor passes
-        :meth:`ResultRecord.from_json_dict`) the entry must also be the
-        record *of this key*: an entry whose stored ``key`` differs, or
-        that *parse* rejects (a missing field or a wrong type), is a
-        logged miss too, and a hit returns the parsed value instead of
-        the raw dict.
+        count as misses and are recomputed and overwritten.  So do
+        entries that do not parse as a :class:`ResultRecord` (a missing
+        field or a wrong type) and entries holding the record of another
+        key; both are logged.
         """
         path = self.path_for(key)
         session = current_session()
         started = time.perf_counter() if session is not None else 0.0
         try:
             with path.open("r", encoding="utf-8") as handle:
-                record = json.load(handle)
+                data = json.load(handle)
         except OSError:
             return self._miss(session, started)
         except json.JSONDecodeError:
@@ -216,26 +210,20 @@ class ResultCache:
                 "corrupt cache entry %s — recomputing and overwriting", path
             )
             return self._miss(session, started)
-        if not isinstance(record, dict):
+        try:
+            record = ResultRecord.from_json_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
             logger.warning(
-                "malformed cache entry %s (not a record) — recomputing", path
+                "malformed cache entry %s (%s: %s) — recomputing and "
+                "overwriting", path, type(exc).__name__, exc,
             )
             return self._miss(session, started)
-        if parse is not None:
-            if record.get("key") != key:
-                logger.warning(
-                    "cache entry %s holds the record of key %r — "
-                    "recomputing and overwriting", path, record.get("key"),
-                )
-                return self._miss(session, started)
-            try:
-                record = parse(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                logger.warning(
-                    "malformed cache entry %s (%s: %s) — recomputing and "
-                    "overwriting", path, type(exc).__name__, exc,
-                )
-                return self._miss(session, started)
+        if record.key != key:
+            logger.warning(
+                "cache entry %s holds the record of key %r — "
+                "recomputing and overwriting", path, record.key,
+            )
+            return self._miss(session, started)
         self.hits += 1
         if session is not None:
             session.metrics.inc("cache.hit")

@@ -222,7 +222,7 @@ def run_units(
 
     if cache is not None:
         for index, key in enumerate(keys):
-            cached = cache.get(key, parse=ResultRecord.from_json_dict)
+            cached = cache.get(key)
             if cached is not None:
                 records[index] = cached
     hits = len(records)

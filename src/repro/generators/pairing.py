@@ -40,9 +40,9 @@ from collections import deque
 from repro.exceptions import ConstructionError
 from repro.portgraph.arrays import ArrayGraph
 
-try:  # the fallback is tested by monkeypatching ``_np`` to None
+try:  # numpy is optional (the [vector] extra)
     import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
+except ImportError:  # pragma: no cover - exercised by the no-numpy job
     _np = None
 
 __all__ = ["pairing_regular"]

@@ -150,13 +150,7 @@ class CompiledGraph:
         return self
 
     def vector(self):
-        """The numpy struct-of-arrays view of this graph, memoised.
-
-        Callers still check
-        :func:`repro.portgraph.vector.numpy_available` first (the
-        vector engine falls back to the compiled loop when numpy is
-        missing).
-        """
+        """The numpy struct-of-arrays view of this graph, memoised."""
         try:
             return self.memo["vector_graph"]
         except KeyError:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - numpy is a core dependency
+try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]

@@ -51,13 +51,17 @@ def _lead_ports(cg) -> np.ndarray:
 def pack_outputs(cg, outputs: Sequence[frozenset[int]]) -> np.ndarray:
     """Per-node port sets, in node-index order, as the selected-port mask.
 
-    Raises :class:`InconsistentOutputError` on a port outside
-    ``1..deg(v)``.
+    Raises :class:`InconsistentOutputError` on a missing output
+    (``None``) or a port outside ``1..deg(v)``.
     """
     selected = bytearray(cg.num_ports)
     offsets = cg.offsets
     degrees = cg.degrees
     for k, ports in enumerate(outputs):
+        if ports is None:
+            raise InconsistentOutputError(
+                f"node {cg.nodes[k]!r} halted without output"
+            )
         if not ports:
             continue
         base = offsets[k] - 1
@@ -152,8 +156,7 @@ class EdgeSelection(Set):
     edges.  ``len()`` and :meth:`covered_nodes` (what
     :func:`~repro.eds.properties.is_edge_dominating_set` reads) are array
     operations on the mask; the :class:`PortEdge` objects are built once,
-    on first iteration or membership test.  The rest of frozenset's API
-    (``union``, ``issubset``, …) runs on those decoded edges.
+    on first iteration or membership test.
 
     *selected* must already have passed :func:`check_selection`.
     """
@@ -205,23 +208,12 @@ class EdgeSelection(Set):
         return edge in self.edges()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, EdgeSelection):
-            if other.graph is self.graph:
-                return bool(np.array_equal(self.selected, other.selected))
-            other = other.edges()
-        if isinstance(other, (set, frozenset)):
+        if isinstance(other, Set):
             return len(self) == len(other) and self.edges() == other
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.edges())
-
-    def __getattr__(self, name: str):
-        if name.startswith("_") or not hasattr(frozenset, name):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        return getattr(self.edges(), name)
 
     def __repr__(self) -> str:
         return f"EdgeSelection({len(self)} of {self.graph.num_edges} edges)"

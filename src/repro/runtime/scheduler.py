@@ -426,8 +426,8 @@ def _make_vector_program(algorithm, graph, hook_args, explicit: bool):
         if explicit:
             raise SimulationError(
                 "engine='vector' requires numpy, which is not installed; "
-                "install it (pip install repro-eds[vector]) or use "
-                "engine='auto' to fall back automatically"
+                "install the optional extra (pip install repro-eds[vector]) "
+                "or use engine='auto' to fall back automatically"
             )
         return None
     hook = getattr(algorithm, "vector_program", None)

@@ -22,8 +22,7 @@ gports plus a payload code and up to two int columns — and
 same :func:`~repro.runtime.trace.trace_from_log` path as the compiled
 engine.
 
-numpy is a core dependency; :func:`vector_available` still gates every
-construction site until the no-numpy fallbacks are deleted.
+numpy is a core dependency and always present.
 """
 
 from __future__ import annotations

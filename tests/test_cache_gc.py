@@ -12,6 +12,17 @@ from repro.engine.cache import (
     parse_age,
     parse_size,
 )
+from repro.engine.records import ResultRecord
+
+
+def _record(key: str, index: int) -> dict:
+    """A minimal valid record of *key*, as the cache stores it."""
+    return ResultRecord(
+        key=key, algorithm="port_one", graph_family="cycle",
+        graph_label=f"cycle-{index}", num_nodes=4, num_edges=4,
+        max_degree=2, solution_size=2, optimum=0, optimum_exact=False,
+        ratio_num=0, ratio_den=1, rounds=1, extra={"payload": "x" * 100},
+    ).to_json_dict()
 
 
 def _fill(cache: ResultCache, count: int, *, base_time: float) -> list[str]:
@@ -19,7 +30,7 @@ def _fill(cache: ResultCache, count: int, *, base_time: float) -> list[str]:
     keys = []
     for i in range(count):
         key = f"{i:02x}" + "0" * 62
-        cache.put(key, {"index": i, "payload": "x" * 100})
+        cache.put(key, _record(key, i))
         stamp = base_time + 10 * i
         os.utime(cache.path_for(key), (stamp, stamp))
         keys.append(key)

@@ -118,7 +118,7 @@ class TestResultCache:
         assert cache.get(key) is None
         record = execute_unit(unit())
         cache.put(key, record.to_json_dict())
-        assert cache.get(key) == record.to_json_dict()
+        assert cache.get(key) == record
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
 

@@ -110,24 +110,24 @@ class TestEdgeSelectionContract:
             graph, resolve("port_one").factory(graph), engine="vector"
         ).edge_set()
 
-    def test_frozenset_api_runs_on_decoded_edges(self):
+    def test_set_operators_run_on_decoded_edges(self):
         graph, selection = self.graph_and_selection()
         edges = selection.edges()
         everything = frozenset(graph.edges)
         assert selection <= everything and everything >= selection
-        assert selection.issubset(everything)
         assert selection | frozenset() == edges
         assert everything - selection == everything - edges
         assert isinstance(selection & everything, frozenset)
         assert next(iter(selection)) in selection
         assert {selection: 1}[edges] == 1
 
-    def test_selections_of_one_graph_compare_by_mask(self):
+    def test_selections_compare_by_edges(self):
         graph, selection = self.graph_and_selection()
         again = run_anonymous(
             graph, resolve("port_one").factory(graph), engine="compiled"
         ).edge_set()
-        assert again == selection and again._edges is None
+        assert again == selection and selection == again
+        assert again != frozenset()
 
     def test_size_never_decodes(self):
         _, selection = self.graph_and_selection()
@@ -202,23 +202,35 @@ class TestChecksRunOnEveryUnit:
                 execute_unit(pairing_unit())
 
     @pytest.mark.parametrize("engine", ("compiled", "pernode", "legacy"))
-    def test_out_of_range_port_raises_when_packed(self, engine):
-        class OutputsPortSeven(NodeProgram):
-            """Announces port 7 at degree 1, bypassing ``halt``'s own
-            range check (as a buggy subclass could)."""
+    @pytest.mark.parametrize(
+        "output,message",
+        [
+            (frozenset({7}), "node 0 output invalid port 7"),
+            (None, "node 0 halted without output"),
+        ],
+        ids=["port-7", "no-output"],
+    )
+    def test_bad_output_raises_when_packed(self, engine, output, message):
+        class HaltsWithOutput(NodeProgram):
+            """Halts with *output* at degree 1, bypassing ``halt``'s own
+            checks (as a buggy subclass could)."""
 
             def send(self, rnd):
                 return {}
 
             def receive(self, rnd, inbox):
                 self._halted = True
-                self._output = frozenset({7})
+                self._output = output
 
         graph = from_networkx(nx.path_graph(2))
-        with pytest.raises(
-            InconsistentOutputError, match="node 0 output invalid port 7"
-        ):
-            run_anonymous(graph, OutputsPortSeven, engine=engine)
+        with pytest.raises(InconsistentOutputError, match=message):
+            run_anonymous(graph, HaltsWithOutput, engine=engine)
+
+    def test_missing_output_fails_the_reference_decoder(self):
+        graph = from_networkx(nx.path_graph(2))
+        with pytest.raises(InconsistentOutputError,
+                           match="halted without output"):
+            decode_edge_set(graph, {0: None, 1: None})
 
 
 def test_quality_unit_on_vector_builds_no_port_edges(monkeypatch):
