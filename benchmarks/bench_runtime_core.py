@@ -1,34 +1,33 @@
 """The simulation-core perf trajectory: legacy vs compiled vs vector.
 
-This is the repo's core performance number across its engine rewrites
-(PR 5's compiled flat-array loop, this PR's numpy struct-of-arrays
-loop): for representative ``large-regular`` and ``xlarge-regular``
-cells it times the engines against each other, asserts they produce
+This is the repo's core performance number across its engines: for
+representative ``large-regular`` and ``xlarge-regular`` cells it times
+the legacy dict-based reference loop, the compiled per-node loop and
+the default vector engine against each other, asserts they produce
 identical results, and derives units/sec and rounds/sec throughput.
 
 Two timing disciplines per engine:
 
 * **cold** — a fresh graph every rep, so the figure *includes* graph
-  compilation plus batch/vector program construction (the engine-
-  realistic first-contact cost);
+  compilation plus per-node program or vector kernel construction (the
+  engine-realistic first-contact cost);
 * **warm** — one graph reused across reps after an untimed priming
-  run, so the memoised derived tables (compiled schedules, vector
-  slabs) are already in place and the figure is the round loop itself.
+  run, so the memoised derived tables (vector schedules and views) are
+  already in place and the figure is the round loop itself.
 
 The legacy reference loop is only timed on the ``large`` cells — on
 the ``xlarge`` ones it would dominate the benchmark's own runtime by
-minutes while measuring nothing new.  The vector columns are ``null``
-when numpy (the optional ``[vector]`` extra) is absent.
+minutes while measuring nothing new.
 
 Run as a script to emit the machine-readable trajectory artifact::
 
     PYTHONPATH=src python benchmarks/bench_runtime_core.py --out BENCH_runtime.json
 
 CI uploads the JSON as a build artifact; the committed copy records the
-container this PR was developed in.  The pytest entry points double as
-the perf-smoke gates (compiled ≥ 2× legacy, vector ≥ 2× compiled on
-round-dominated units — deliberately generous floors; the measured
-margins are far higher) and the determinism check.
+machine named in EXPERIMENTS.md.  The pytest entry points double as the
+perf-smoke gates (the default vector engine ≥ 2× legacy, and vector
+≥ 2× compiled on round-dominated units — deliberately generous floors;
+the measured margins are far higher) and the determinism check.
 """
 
 from __future__ import annotations
@@ -38,12 +37,10 @@ import json
 import platform
 import time
 
-import pytest
-
 from repro.obs import recording
 from repro.registry.algorithms import resolve
 from repro.registry.families import get_family
-from repro.runtime import use_engine, vector_available
+from repro.runtime import use_engine
 
 from conftest import emit
 
@@ -116,12 +113,19 @@ def _ratio(numerator, denominator):
 
 
 def measure_units() -> dict:
-    """Time every unit on every applicable engine; assemble the rows."""
-    with_vector = vector_available()
+    """Time every unit on every applicable engine; assemble the rows.
+
+    ``speedup`` is legacy over the default vector engine (cold) and
+    ``compiled_speedup`` legacy over the compiled per-node loop; both
+    are ``None`` on the xlarge cells, where legacy is not timed.
+    """
     rows = []
     for unit in UNITS:
         compiled_cold, compiled_out = _time_engine(unit, "compiled")
         compiled_warm, _ = _time_engine(unit, "compiled", warm=True)
+        vector_cold, vector_out = _time_engine(unit, "vector")
+        vector_warm, _ = _time_engine(unit, "vector", warm=True)
+        assert vector_out == compiled_out, f"engines disagree on {unit}"
         rounds = compiled_out[1]
         row = {
             **unit,
@@ -132,28 +136,20 @@ def measure_units() -> dict:
             "rounds_per_s_compiled_warm": round(rounds / compiled_warm, 1),
             "legacy_s": None,
             "speedup": None,
-            "vector_cold_s": None,
-            "vector_warm_s": None,
-            "rounds_per_s_vector_cold": None,
-            "rounds_per_s_vector_warm": None,
-            "vector_speedup_cold": None,
-            "vector_speedup_warm": None,
+            "compiled_speedup": None,
+            "vector_cold_s": round(vector_cold, 6),
+            "vector_warm_s": round(vector_warm, 6),
+            "rounds_per_s_vector_cold": round(rounds / vector_cold, 1),
+            "rounds_per_s_vector_warm": round(rounds / vector_warm, 1),
+            "vector_speedup_cold": _ratio(compiled_cold, vector_cold),
+            "vector_speedup_warm": _ratio(compiled_warm, vector_warm),
         }
         if not unit["xlarge"]:
             legacy_s, legacy_out = _time_engine(unit, "legacy")
             assert legacy_out == compiled_out, f"engines disagree on {unit}"
             row["legacy_s"] = round(legacy_s, 6)
-            row["speedup"] = _ratio(legacy_s, compiled_cold)
-        if with_vector:
-            vector_cold, vector_out = _time_engine(unit, "vector")
-            vector_warm, _ = _time_engine(unit, "vector", warm=True)
-            assert vector_out == compiled_out, f"engines disagree on {unit}"
-            row["vector_cold_s"] = round(vector_cold, 6)
-            row["vector_warm_s"] = round(vector_warm, 6)
-            row["rounds_per_s_vector_cold"] = round(rounds / vector_cold, 1)
-            row["rounds_per_s_vector_warm"] = round(rounds / vector_warm, 1)
-            row["vector_speedup_cold"] = _ratio(compiled_cold, vector_cold)
-            row["vector_speedup_warm"] = _ratio(compiled_warm, vector_warm)
+            row["speedup"] = _ratio(legacy_s, vector_cold)
+            row["compiled_speedup"] = _ratio(legacy_s, compiled_cold)
         rows.append(row)
 
     dominated = [
@@ -163,7 +159,6 @@ def measure_units() -> dict:
     vector_dominated = [
         r["vector_speedup_cold"] for r in rows
         if r["round_dominated"] and r["xlarge"]
-        and r["vector_speedup_cold"] is not None
     ]
     return {
         "benchmark": (
@@ -171,18 +166,14 @@ def measure_units() -> dict:
             "(large/xlarge-regular cells)"
         ),
         "reps_best_of": REPS,
-        "vector_available": with_vector,
         "units": rows,
         "summary": {
+            # cold legacy-over-vector on round-dominated large cells
             "round_dominated_min_speedup": min(dominated),
             "round_dominated_max_speedup": max(dominated),
-            # cold vector-over-compiled on round-dominated xlarge cells
-            "vector_min_speedup": (
-                min(vector_dominated) if vector_dominated else None
-            ),
-            "vector_max_speedup": (
-                max(vector_dominated) if vector_dominated else None
-            ),
+            # cold compiled-over-vector on round-dominated xlarge cells
+            "vector_min_speedup": min(vector_dominated),
+            "vector_max_speedup": max(vector_dominated),
         },
     }
 
@@ -201,10 +192,7 @@ def format_table(payload: dict) -> str:
     ]
     for row in payload["units"]:
         label = f"{row['algorithm']} d={row['d']} n={row['n']}"
-        vec_x = (
-            "     —" if row["vector_speedup_cold"] is None
-            else f"{row['vector_speedup_cold']:5.1f}x"
-        )
+        vec_x = f"{row['vector_speedup_cold']:5.1f}x"
         lines.append(
             f"{label:30s} {_fmt_ms(row['legacy_s'])}ms"
             f" {_fmt_ms(row['compiled_cold_s'])}ms"
@@ -214,21 +202,15 @@ def format_table(payload: dict) -> str:
         )
     summary = payload["summary"]
     lines.append(
-        "round-dominated, legacy → compiled (cold): "
+        "round-dominated, legacy → vector (cold): "
         f"{summary['round_dominated_min_speedup']:.1f}x – "
         f"{summary['round_dominated_max_speedup']:.1f}x"
     )
-    if summary["vector_min_speedup"] is not None:
-        lines.append(
-            "round-dominated xlarge, compiled → vector (cold): "
-            f"{summary['vector_min_speedup']:.1f}x – "
-            f"{summary['vector_max_speedup']:.1f}x"
-        )
-    else:
-        lines.append(
-            "vector engine unavailable (numpy not installed); "
-            "vector columns skipped"
-        )
+    lines.append(
+        "round-dominated xlarge, compiled → vector (cold): "
+        f"{summary['vector_min_speedup']:.1f}x – "
+        f"{summary['vector_max_speedup']:.1f}x"
+    )
     return "\n".join(lines)
 
 
@@ -237,23 +219,23 @@ def format_table(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def test_perf_smoke_compiled_beats_legacy():
-    """CI gate: ≥ 2× on one large-regular unit.  The threshold is kept
-    far below the measured margin (≥ 5×) so shared-runner noise cannot
+def test_perf_smoke_vector_beats_legacy():
+    """CI gate: the default vector engine ≥ 2× over the legacy
+    reference on one large-regular unit.  The threshold is kept far
+    below the measured margin (≥ 10×) so shared-runner noise cannot
     flake it."""
     unit = {"algorithm": "regular_odd", "d": 5, "n": 512}
     legacy_s, legacy_out = _time_engine(unit, "legacy")
-    compiled_s, compiled_out = _time_engine(unit, "compiled")
-    assert legacy_out == compiled_out
+    vector_s, vector_out = _time_engine(unit, "vector")
+    assert legacy_out == vector_out
     emit(
         f"perf smoke regular_odd d=5 n=512: legacy={legacy_s * 1000:.1f} ms, "
-        f"compiled={compiled_s * 1000:.1f} ms "
-        f"({legacy_s / compiled_s:.1f}x)"
+        f"vector={vector_s * 1000:.1f} ms "
+        f"({legacy_s / vector_s:.1f}x)"
     )
-    assert legacy_s / compiled_s >= 2.0
+    assert legacy_s / vector_s >= 2.0
 
 
-@pytest.mark.skipif(not vector_available(), reason="numpy not installed")
 def test_perf_smoke_vector_beats_compiled():
     """CI gate: vector ≥ 2× over compiled cold on one round-dominated
     xlarge unit.  As above, the floor is far below the measured margin
@@ -272,17 +254,16 @@ def test_perf_smoke_vector_beats_compiled():
 
 
 def test_round_dominated_units_speed_up_5x():
-    """The PR-5 acceptance number on the full unit set (and the
-    committed BENCH_runtime.json was produced by exactly this
-    measurement) — now extended with the vector-engine acceptance
-    number: cold vector-over-compiled ≥ 5× on at least one
+    """The acceptance numbers on the full unit set (the committed
+    BENCH_runtime.json was produced by exactly this measurement): cold
+    legacy-over-vector ≥ 5× on every round-dominated large-regular
+    unit, and cold vector-over-compiled ≥ 5× on at least one
     round-dominated xlarge-regular unit."""
     payload = measure_units()
     emit(format_table(payload))
     assert payload["summary"]["round_dominated_min_speedup"] >= 5.0
-    if payload["vector_available"]:
-        assert payload["summary"]["vector_max_speedup"] >= 5.0
-        assert payload["summary"]["vector_min_speedup"] >= 1.5
+    assert payload["summary"]["vector_max_speedup"] >= 5.0
+    assert payload["summary"]["vector_min_speedup"] >= 1.5
 
 
 def test_telemetry_overhead_under_5_percent():
@@ -386,7 +367,6 @@ def ledger_entries(payload: dict):
             unit_wall_s=sum(phases.values()),
             units=len(phases),
             reps=payload["reps_best_of"],
-            numpy=payload["vector_available"],
             git_sha=sha,
             recorded_unix=stamp,
             python=platform.python_version(),

@@ -122,26 +122,8 @@ class BoundedDegreeEDS:
         d = self.odd_delta
         return 2 * d * d + 4 * d
 
-    def batch_program(self, graph):
-        """Opt in to the compiled scheduler's batch stepping."""
-        from repro.algorithms.batch import BatchAllEdges, BatchBoundedDegree
-
-        if self.max_degree == 1:
-            for v in graph.nodes:
-                if graph.degree(v) > 1:
-                    raise AlgorithmContractError(
-                        f"node degree {graph.degree(v)} exceeds promised "
-                        f"bound Δ = {self.max_degree}"
-                    )
-            return BatchAllEdges(graph)
-        return BatchBoundedDegree(graph, self.max_degree, self.odd_delta)
-
     def vector_program(self, graph):
-        """Opt in to the numpy vector engine (``None`` without numpy)."""
-        from repro.runtime.vector import vector_available
-
-        if not vector_available():
-            return None
+        """The vector engine's kernel for this algorithm."""
         from repro.algorithms.vector import (
             VectorAllEdges,
             VectorBoundedDegree,

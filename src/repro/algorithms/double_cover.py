@@ -70,18 +70,8 @@ class DominatingTwoMatching:
         """Every program halts after exactly 2Δ rounds."""
         return 2 * self.max_degree
 
-    def batch_program(self, graph):
-        """Opt in to the compiled scheduler's batch stepping."""
-        from repro.algorithms.batch import BatchDoubleCover
-
-        return BatchDoubleCover(graph, self.max_degree)
-
     def vector_program(self, graph):
-        """Opt in to the numpy vector engine (``None`` without numpy)."""
-        from repro.runtime.vector import vector_available
-
-        if not vector_available():
-            return None
+        """The vector engine's kernel for this algorithm."""
         from repro.algorithms.vector import VectorDoubleCover
 
         return VectorDoubleCover(graph, self.max_degree)

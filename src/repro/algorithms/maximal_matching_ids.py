@@ -116,23 +116,12 @@ class GreedyMaximalMatchingIds(NodeProgram):
             self.proposed_port = None
 
     @classmethod
-    def batch_program(cls, graph, ids):
-        """Opt in to the compiled scheduler's batch stepping."""
-        from repro.algorithms.batch import BatchGreedyMatchingIds
-
-        return BatchGreedyMatchingIds(graph, ids)
-
-    @classmethod
     def vector_program(cls, graph, ids):
-        """Opt in to the numpy vector engine.
+        """The vector engine's kernel for this algorithm.
 
-        Returns ``None`` (→ compiled fallback) without numpy or when an
-        identifier does not fit the engine's int64 id arrays.
+        Returns ``None`` (→ the compiled loop) when an identifier does
+        not fit the engine's int64 id arrays.
         """
-        from repro.runtime.vector import vector_available
-
-        if not vector_available():
-            return None
         from repro.algorithms.vector import VectorGreedyMatchingIds
 
         try:

@@ -49,19 +49,8 @@ class PortOneEDS(NodeProgram):
         self.halt(selected)
 
     @classmethod
-    def batch_program(cls, graph):
-        """Opt in to the compiled scheduler's batch stepping."""
-        from repro.algorithms.batch import BatchPortOne
-
-        return BatchPortOne(graph)
-
-    @classmethod
     def vector_program(cls, graph):
-        """Opt in to the numpy vector engine (``None`` without numpy)."""
-        from repro.runtime.vector import vector_available
-
-        if not vector_available():
-            return None
+        """The vector engine's kernel for this algorithm."""
         from repro.algorithms.vector import VectorPortOne
 
         return VectorPortOne(graph)

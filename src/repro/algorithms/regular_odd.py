@@ -131,19 +131,8 @@ class RegularOddEDS(LabelAwareProgram):
         return 2 + 2 * d * d
 
     @classmethod
-    def batch_program(cls, graph):
-        """Opt in to the compiled scheduler's batch stepping."""
-        from repro.algorithms.batch import BatchRegularOdd
-
-        return BatchRegularOdd(graph)
-
-    @classmethod
     def vector_program(cls, graph):
-        """Opt in to the numpy vector engine (``None`` without numpy)."""
-        from repro.runtime.vector import vector_available
-
-        if not vector_available():
-            return None
+        """The vector engine's kernel for this algorithm."""
         from repro.algorithms.vector import VectorRegularOdd
 
         return VectorRegularOdd(graph)

@@ -1,34 +1,45 @@
 """Vector-engine kernels for the paper's deterministic algorithms.
 
-Each class is the struct-of-arrays counterpart of one batch program from
-:mod:`repro.algorithms.batch`, plugged into the scheduler through the
+Each class is the all-nodes-at-once counterpart of one per-node program
+from this package, plugged into the scheduler through the
 :class:`~repro.runtime.vector.VectorProgram` protocol: per-node state is
 typed numpy arrays, one round is a handful of whole-graph array ops, and
 the step → participant schedules are precomputed entry arrays grouped by
-step (memoised on the compiled graph under ``vector_*`` keys, separate
-from the batch programs' memo entries so both engines can share one
-graph).
+step (memoised on the compiled graph under ``vector_*`` keys, so
+repeated runs on one graph pay the derivation once).  The kernels are
+**observationally identical** to the per-node programs: same outputs,
+same round counts, and the same messages in the same order, which the
+differential suite (``tests/test_runtime_compiled.py``) asserts across
+the full graph-family matrix.
 
-The fidelity rules of the batch programs apply unchanged — canonical
-send order (ascending node, then the per-node send-mapping order),
-setup messages still sent, per-node schedule arithmetic mirrored — plus
-one vectorisation invariant the schedules guarantee: **each node appears
-at most once per schedule step** (a pair step selects at most one port
-per node, proposal rounds carry one proposal per proposer and group
-replies per responder), so simultaneous array updates are equivalent to
-the batch programs' sequential per-node loops.
+Fidelity rules the kernels follow:
 
-This module is only imported when numpy is available (the factories'
-``vector_program`` hooks gate on
-:func:`repro.runtime.vector.vector_available`).
+* sends are emitted in ascending node order, and within a node in the
+  iteration order of the per-node program's send mapping (which for
+  every algorithm here is ascending port order — including proposal
+  responses, whose accepted port is always the smallest pending);
+* a kernel may *know* the graph (it is an execution strategy, not a
+  model extension), so setup quantities the per-node programs learn by
+  messaging — peer port numbers, peer degrees, distinguishable edges —
+  are precomputed from the compiled involution, but the setup
+  **messages themselves are still sent** so traces and message counts
+  are unchanged;
+* per-node schedule arithmetic (which depends only on degrees and the
+  promised Δ) is mirrored exactly, so nodes halt in the same rounds
+  even on graphs outside an algorithm's contract;
+* **each node appears at most once per schedule step** (a pair step
+  selects at most one port per node, proposal rounds carry one proposal
+  per proposer and group replies per responder), so simultaneous array
+  updates are equivalent to the per-node programs' sequential loops.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import pair_at
 from repro.exceptions import AlgorithmContractError, SimulationError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.vector import np
 from repro.runtime.vector import (
     PAYLOAD_ACC,
     PAYLOAD_ALIVE,
@@ -110,7 +121,7 @@ def _label_tables(vg):
     ``vector_label``: ``dn_port[k]`` is the min-port uniquely-labelled
     edge of node ``k`` (−1 when none), and the tag arrays hold every
     ``pair (i, j) → port`` table entry as ``(node, i, j, global port)``
-    rows sorted by ``(node, i, j)`` — the exact content of the batch
+    rows sorted by ``(node, i, j)`` — the exact content of the per-node
     programs' ``port_for_pair`` dicts, with the same Lemma 2 violation
     check.
     """
@@ -139,7 +150,7 @@ def _label_tables(vg):
 
     # Tag rows.  A port g is tagged (i, j) when its own end is the
     # distinguishable port (i = local) or its peer end is (pair
-    # reversed) — mirroring BatchLabelAware's two tag sources.
+    # reversed) — mirroring LabelAwareProgram's two tag sources.
     tag_own = dn_port[owner] == local
     tag_peer = dn_port[vg.peer_node] == peer_local
     gids = vg.all_ports
@@ -378,7 +389,7 @@ def _bounded_schedule(vg, delta):
     except KeyError:
         pass
     # step → ("I", pair) | ("II", stage, local) | ("III", local),
-    # identical to the batch schedule (a function of Δ' alone).
+    # identical to the per-node schedule (a function of Δ' alone).
     schedule: list[tuple] = []
     for step in range(delta * delta):
         schedule.append(("I", pair_at(step, delta)))
@@ -604,7 +615,7 @@ class VectorBoundedDegree(_VectorLabelAware):
         if self.record:
             codes = np.where(acc, PAYLOAD_ACC, PAYLOAD_REJ)
             self.log_sends(tgs, codes, delivered=ok)
-        # responder-side state (the batch program updates at send time)
+        # responder-side state (the per-node program updates at send time)
         winners = tgs[acc]
         acceptors = tks[acc]
         if self._phase3:

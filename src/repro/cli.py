@@ -108,7 +108,7 @@ from repro.registry import (
     measure_names,
     resolve,
 )
-from repro.runtime import ENGINES, engines_available, use_engine
+from repro.runtime import ENGINES, use_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="simulation engine for the run (default: the scheduler's "
-        "own choice; 'vector' and 'auto' fall back to 'compiled' for "
-        "algorithms without a vector kernel)",
+        help="simulation engine for the run (default: 'vector', which "
+        "runs algorithms without a vector kernel on the 'compiled' "
+        "per-node loop)",
     )
 
     profile = sub.add_parser(
@@ -586,13 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engines_line() -> str:
-    """One line naming every engine and whether it can run here."""
-    avail = engines_available()
-    parts = [
-        name if ok else f"{name} (unavailable: install repro-eds[vector])"
-        for name, ok in avail.items()
-    ]
-    return "engines: " + ", ".join(parts)
+    """One line naming every engine, the default first."""
+    return "engines: " + ", ".join(ENGINES)
 
 
 def _run_demo(args: argparse.Namespace) -> str:

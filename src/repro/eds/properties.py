@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-try:  # pragma: no cover - numpy is a core dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
@@ -62,20 +59,20 @@ def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
 
     Engages only when the graph's compiled arrays already exist (the
     direct-to-CSR generators build them up front; dict-built graphs get
-    them after the first simulation) and numpy is importable — feasibility
-    then costs two gathers and an OR over the port arrays instead of
-    materialising every :class:`PortEdge`.  Semantics match the set-based
+    them after the first simulation) — feasibility then costs two
+    gathers and an OR over the port arrays instead of materialising
+    every :class:`PortEdge`.  Semantics match the set-based
     check exactly: an edge is dominated iff one of its endpoints is an
     endpoint of some dominating edge (dominating edges whose endpoints
     are not graph nodes cover nothing, as in the set version, where a
     foreign endpoint never intersects a graph edge).
     """
     compiled = getattr(graph, "_compiled", None)
-    if _np is None or compiled is None:
+    if compiled is None:
         return None
     if compiled.num_ports == 0:
         return True  # no edges: everything (vacuously) dominated
-    covered = _np.zeros(compiled.num_nodes, dtype=bool)
+    covered = np.zeros(compiled.num_nodes, dtype=bool)
     index = compiled.node_index
     for e in dominating:
         for v in e.endpoints:
@@ -87,8 +84,8 @@ def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
 
 def _covers_every_edge(compiled, covered) -> bool:
     """Whether every edge has an endpoint in the node mask *covered*."""
-    port_node = _np.frombuffer(compiled.port_node, dtype=_np.int64)
-    mate = _np.frombuffer(compiled.mate, dtype=_np.int64)
+    port_node = np.frombuffer(compiled.port_node, dtype=np.int64)
+    mate = np.frombuffer(compiled.mate, dtype=np.int64)
     owner = covered[port_node]
     return bool((owner | owner[mate]).all())
 

@@ -357,7 +357,7 @@ class ThreadedComparisonMeasure(ComparisonMeasure):
 
     The ROADMAP follow-up behind ``Measure.preferred_backend="thread"``:
     comparison grids at larger sizes spend their time inside the
-    compiled batch round loop and the traced re-run — work that, unlike
+    round loop and the traced re-run — work that, unlike
     the old dict-churning scheduler, leaves the result assembly cheap
     enough that thread fan-out's zero startup tax beats a process pool
     on medium grids (a process pool pays interpreter spawn + catalogue

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -21,6 +23,51 @@ from repro.analysis.runner import ExperimentRow
 from repro.engine.spec import canonical_json
 
 __all__ = ["ResultRecord", "ResultStore"]
+
+#: The scalar fields in declaration order, each with the exact types a
+#: parsed record may hold there.  JSON decodes ``true`` to a ``bool``, an
+#: ``int`` subclass, so types compare exactly.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(
+        ("key", "algorithm", "graph_family", "graph_label"), (str,)
+    ),
+    **dict.fromkeys(
+        ("num_nodes", "num_edges", "max_degree", "solution_size",
+         "optimum"),
+        (int,),
+    ),
+    "optimum_exact": (bool,),
+    **dict.fromkeys(("ratio_num", "ratio_den", "rounds"), (int,)),
+    "messages": (int, type(None)),
+    **dict.fromkeys(
+        ("optimum_lower", "optimum_upper", "ratio_lo_num", "ratio_lo_den",
+         "ratio_hi_num", "ratio_hi_den"),
+        (int,),
+    ),
+}
+#: Every valid combination of scalar types, for a one-lookup check on
+#: the cache's warm path.
+_VALID_TYPES = frozenset(product(*_FIELD_TYPES.values()))
+#: Every encoding carries the fields declared before ``messages``.
+_required = itemgetter(
+    *list(_FIELD_TYPES)[:list(_FIELD_TYPES).index("messages")]
+)
+#: The two-sided bracket fields, absent from one-sided records.
+_BRACKET_DEFAULTS = {
+    "optimum_lower": 0, "optimum_upper": 0, "ratio_lo_num": 0,
+    "ratio_lo_den": 1, "ratio_hi_num": 0, "ratio_hi_den": 1,
+}
+
+
+def _raise_type_error(scalars: tuple) -> None:
+    """Raise :class:`TypeError` naming the first mistyped scalar."""
+    for (name, types), value in zip(_FIELD_TYPES.items(), scalars):
+        if type(value) not in types:
+            raise TypeError(
+                f"record field {name!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, got "
+                f"{type(value).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,29 +163,19 @@ class ResultRecord:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ResultRecord":
-        return cls(
-            key=data["key"],
-            algorithm=data["algorithm"],
-            graph_family=data["graph_family"],
-            graph_label=data["graph_label"],
-            num_nodes=data["num_nodes"],
-            num_edges=data["num_edges"],
-            max_degree=data["max_degree"],
-            solution_size=data["solution_size"],
-            optimum=data["optimum"],
-            optimum_exact=data["optimum_exact"],
-            ratio_num=data["ratio_num"],
-            ratio_den=data["ratio_den"],
-            rounds=data["rounds"],
-            messages=data.get("messages"),
-            optimum_lower=data.get("optimum_lower", 0),
-            optimum_upper=data.get("optimum_upper", 0),
-            ratio_lo_num=data.get("ratio_lo_num", 0),
-            ratio_lo_den=data.get("ratio_lo_den", 1),
-            ratio_hi_num=data.get("ratio_hi_num", 0),
-            ratio_hi_den=data.get("ratio_hi_den", 1),
-            extra=dict(data.get("extra", {})),
+        """Parse a :meth:`to_json_dict` encoding.
+
+        Raises :class:`KeyError` on a missing field and
+        :class:`TypeError` on a field of the wrong type.
+        """
+        scalars = (
+            *_required(data),
+            data.get("messages"),
+            *map(data.get, _BRACKET_DEFAULTS, _BRACKET_DEFAULTS.values()),
         )
+        if tuple(map(type, scalars)) not in _VALID_TYPES:
+            _raise_type_error(scalars)
+        return cls(*scalars, extra=dict(data.get("extra", {})))
 
     def canonical(self) -> str:
         """Canonical JSON encoding (the byte-identity comparison form)."""

@@ -18,11 +18,9 @@ repr re-sorting, no dicts).
 Determinism contract: the pairing comes from ``random.Random(seed)``
 (one ``shuffle``), bad-edge detection has one canonical order, and the
 switch-repair draws from the same ``Random`` stream — so the graph is a
-pure function of ``(d, n, seed)`` **independent of numpy**.  numpy only
-accelerates array assembly and detection; the pure-python ``array``
-fallback produces byte-identical graphs (pinned by
-``tests/test_pairing_regular.py``), which keeps engine records portable
-between numpy and no-numpy workers.
+pure function of ``(d, n, seed)``.  Cache keys name the spec, not the
+graph, so the output bytes are pinned per ``(d, n, seed)`` by
+``tests/test_pairing_regular.py``.
 
 Caveat: switch-repair conditions the pairing on simplicity, so the
 distribution is the configuration model conditioned on simple outcomes
@@ -37,13 +35,10 @@ import random
 from array import array
 from collections import deque
 
+import numpy as np
+
 from repro.exceptions import ConstructionError
 from repro.portgraph.arrays import ArrayGraph
-
-try:  # numpy is optional (the [vector] extra)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy job
-    _np = None
 
 __all__ = ["pairing_regular"]
 
@@ -58,37 +53,23 @@ class _RepairExhausted(Exception):
     pass
 
 
-def _find_bad_python(mate, n: int, d: int) -> list[int]:
-    """Bad edge representatives, canonically ordered — pure python."""
-    bad: set[int] = set()
-    items: list[tuple[int, int]] = []
-    for g in range(n * d):
-        m = mate[g]
-        if m < g:
-            continue
-        u, v = g // d, m // d
-        if u == v:
-            bad.add(g)
-        items.append((u * n + v if u <= v else v * n + u, g))
-    items.sort()
-    for idx in range(1, len(items)):
-        if items[idx][0] == items[idx - 1][0]:
-            bad.add(items[idx][1])
-    return sorted(bad)
+def _find_bad(mate, n: int, d: int) -> list[int]:
+    """Bad edge representatives, canonically ordered.
 
-
-def _find_bad_numpy(mate, n: int, d: int) -> list[int]:
-    """Same canonical bad list as :func:`_find_bad_python`, vectorised."""
-    arange = _np.arange(n * d, dtype=_np.int64)
-    reps = _np.nonzero(mate > arange)[0]
+    An edge is represented by its smaller stub.  It is bad when it is a
+    self-loop, or when it repeats the endpoint pair of an edge with a
+    smaller representative.
+    """
+    arange = np.arange(n * d, dtype=np.int64)
+    reps = np.nonzero(mate > arange)[0]
     u = reps // d
     v = mate[reps] // d
-    lo = _np.minimum(u, v)
+    lo = np.minimum(u, v)
     key = lo * n + (u + v - lo)
     bad = set(reps[u == v].tolist())
-    order = _np.lexsort((reps, key))
+    order = np.lexsort((reps, key))
     keys = key[order]
-    dup = _np.zeros(len(order), dtype=bool)
+    dup = np.zeros(len(order), dtype=bool)
     dup[1:] = keys[1:] == keys[:-1]
     bad.update(reps[order[dup]].tolist())
     return sorted(bad)
@@ -168,19 +149,11 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
     for _ in range(_MAX_RESTARTS):
         stubs = list(range(total))
         rng.shuffle(stubs)
-        if _np is not None:
-            perm = _np.array(stubs, dtype=_np.int64)
-            mate = _np.empty(total, dtype=_np.int64)
-            mate[perm[0::2]] = perm[1::2]
-            mate[perm[1::2]] = perm[0::2]
-            bad = _find_bad_numpy(mate, n, d)
-        else:
-            mate = [0] * total
-            for idx in range(0, total, 2):
-                a, b = stubs[idx], stubs[idx + 1]
-                mate[a] = b
-                mate[b] = a
-            bad = _find_bad_python(mate, n, d)
+        perm = np.array(stubs, dtype=np.int64)
+        mate = np.empty(total, dtype=np.int64)
+        mate[perm[0::2]] = perm[1::2]
+        mate[perm[1::2]] = perm[0::2]
+        bad = _find_bad(mate, n, d)
         try:
             _repair(mate, n, d, rng, bad)
             break
@@ -193,16 +166,10 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
         )
 
     offsets = array("q", range(0, total + d, d)) if n else array("q", [0])
-    if _np is not None:
-        mate_q = array("q")
-        mate_q.frombytes(mate.tobytes())
-        port_node = array("q")
-        port_node.frombytes(
-            (_np.arange(total, dtype=_np.int64) // d).tobytes()
-        )
-    else:
-        mate_q = array("q", mate)
-        port_node = array("q", (g // d for g in range(total)))
+    mate_q = array("q")
+    mate_q.frombytes(mate.tobytes())
+    port_node = array("q")
+    port_node.frombytes((np.arange(total, dtype=np.int64) // d).tobytes())
     return ArrayGraph(
         range(n), (d,) * n, offsets, mate_q, port_node, validate=False
     )

@@ -23,7 +23,6 @@ any regression, which is the whole CI gate.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import platform
 import statistics
@@ -81,10 +80,6 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def _numpy_available() -> bool:
-    return importlib.util.find_spec("numpy") is not None
-
-
 @dataclass
 class LedgerEntry:
     """One recorded benchmark run — one line of the ledger."""
@@ -101,7 +96,9 @@ class LedgerEntry:
     #: ``None`` when memory capture was off.
     mem_peak_b: int | None = None
     rss_peak_b: int | None = None
-    numpy: bool = False
+    #: Whether numpy was importable.  numpy is a required dependency,
+    #: so only older ledger lines can read false.
+    numpy: bool = True
     git_sha: str = "unknown"
     recorded_unix: float = 0.0
     python: str = ""
@@ -209,7 +206,6 @@ def entry_from_sessions(
         rss_peak_b=(
             int(statistics.median(rss_samples)) if rss_samples else None
         ),
-        numpy=_numpy_available(),
         git_sha=sha if sha is not None else git_sha(),
         recorded_unix=(
             recorded_unix if recorded_unix is not None else time.time()

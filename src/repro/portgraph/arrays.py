@@ -27,6 +27,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import InvolutionError, PortNumberingError
 from repro.portgraph.compiled import CompiledGraph
 from repro.portgraph.graph import PortNumberedGraph
@@ -158,18 +160,9 @@ class ArrayGraph(PortNumberedGraph):
             pass
         # Each involution orbit of size two is one edge on two ports; a
         # fixed point (directed loop) is one edge on one port.
-        fixed = 0
-        mate = cg.mate
-        try:
-            import numpy as np
-
-            arange = np.arange(cg.num_ports, dtype=np.int64)
-            fixed = int((np.frombuffer(mate, dtype=np.int64) == arange)
-                        .sum()) if cg.num_ports else 0
-        except ImportError:
-            for g in range(cg.num_ports):
-                if mate[g] == g:
-                    fixed += 1
+        arange = np.arange(cg.num_ports, dtype=np.int64)
+        fixed = int((np.frombuffer(cg.mate, dtype=np.int64) == arange)
+                    .sum()) if cg.num_ports else 0
         value = (cg.num_ports + fixed) // 2
         cg.memo["num_edges"] = value
         return value
@@ -237,29 +230,14 @@ class ArrayGraph(PortNumberedGraph):
         cg = self._compiled
         if not cg.num_ports:
             return True
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None:
-            mate = np.frombuffer(cg.mate, dtype=np.int64)
-            owner = np.frombuffer(cg.port_node, dtype=np.int64)
-            peer = owner[mate]
-            if bool((peer == owner).any()):
-                return False  # loop (directed or undirected)
-            # Parallel edges: some node lists the same neighbour twice.
-            key = owner * cg.num_nodes + peer
-            return int(np.unique(key).size) == cg.num_ports
-        mate, owner = cg.flat_lists()
-        offsets = cg.offsets
-        for k in range(cg.num_nodes):
-            seen: set[int] = set()
-            for g in range(offsets[k], offsets[k + 1]):
-                peer = owner[mate[g]]
-                if peer == k or peer in seen:
-                    return False
-                seen.add(peer)
-        return True
+        mate = np.frombuffer(cg.mate, dtype=np.int64)
+        owner = np.frombuffer(cg.port_node, dtype=np.int64)
+        peer = owner[mate]
+        if bool((peer == owner).any()):
+            return False  # loop (directed or undirected)
+        # Parallel edges: some node lists the same neighbour twice.
+        key = owner * cg.num_nodes + peer
+        return int(np.unique(key).size) == cg.num_ports
 
     # ------------------------------------------------------------------
     # Compiled form / pickling
@@ -313,36 +291,16 @@ def _validate_arrays(
             f"expected {total} ports, got len(mate)={len(mate)} "
             f"len(port_node)={len(port_node)}"
         )
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None and total:
-        mate_np = np.frombuffer(mate, dtype=np.int64)
-        owner_np = np.frombuffer(port_node, dtype=np.int64)
-        offs = np.frombuffer(offsets, dtype=np.int64)
-        expected_owner = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(offs)
-        )
-        if not np.array_equal(owner_np, expected_owner):
-            raise PortNumberingError("port_node does not match offsets")
-        if mate_np.min() < 0 or mate_np.max() >= total:
-            raise InvolutionError("mate index out of range")
-        arange = np.arange(total, dtype=np.int64)
-        if not np.array_equal(mate_np[mate_np], arange):
-            raise InvolutionError("mate is not an involution")
+    if not total:
         return
-    g = 0
-    for k in range(n):
-        for _ in range(degrees[k]):
-            if port_node[g] != k:
-                raise PortNumberingError(
-                    "port_node does not match offsets"
-                )
-            g += 1
-    for g in range(total):
-        m = mate[g]
-        if not 0 <= m < total:
-            raise InvolutionError("mate index out of range")
-        if mate[m] != g:
-            raise InvolutionError("mate is not an involution")
+    mate_np = np.frombuffer(mate, dtype=np.int64)
+    owner_np = np.frombuffer(port_node, dtype=np.int64)
+    offs = np.frombuffer(offsets, dtype=np.int64)
+    expected_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
+    if not np.array_equal(owner_np, expected_owner):
+        raise PortNumberingError("port_node does not match offsets")
+    if mate_np.min() < 0 or mate_np.max() >= total:
+        raise InvolutionError("mate index out of range")
+    arange = np.arange(total, dtype=np.int64)
+    if not np.array_equal(mate_np[mate_np], arange):
+        raise InvolutionError("mate is not an involution")

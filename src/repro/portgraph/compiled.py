@@ -99,8 +99,8 @@ class CompiledGraph:
             )
         self.mate = array("q", mate_list)
 
-        #: Derived read-only tables keyed by their producer (batch
-        #: programs stash per-algorithm schedules here so repeated runs
+        #: Derived read-only tables keyed by their producer (vector
+        #: kernels stash per-algorithm schedules here so repeated runs
         #: on one graph pay the derivation once, like the compiled form
         #: itself).  Entries must be immutable or never mutated.  The
         #: list forms of ``mate``/``port_node`` are seeded from the

@@ -9,36 +9,19 @@ with a single fancy-index, per-node state reduced over CSR segments
 with ``reduceat``.  :class:`VectorGraph` is that view: derived once per
 compiled graph and memoised alongside the other derived tables
 (``CompiledGraph.memo``), so repeated runs share it exactly like the
-batch programs share their schedules.
-
-numpy is a core dependency.  The guarded import below (:data:`np` is
-``None`` and :func:`numpy_available` answers ``False`` without it)
-predates that and stays until the no-numpy fallbacks are deleted.
+vector kernels share their schedules.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.portgraph.compiled import CompiledGraph
 
-__all__ = ["VectorGraph", "np", "numpy_available", "numpy_version"]
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return np is not None
-
-
-def numpy_version() -> str | None:
-    """The installed numpy version, or ``None`` when unavailable."""
-    return None if np is None else np.__version__
+__all__ = ["VectorGraph"]
 
 
 #: Sentinel for "no value" in int64 segment reductions.
@@ -79,10 +62,6 @@ class VectorGraph:
     )
 
     def __init__(self, cg: "CompiledGraph") -> None:
-        if np is None:  # pragma: no cover - callers guard
-            raise ImportError(
-                "VectorGraph needs numpy; install the [vector] extra"
-            )
         self.cg = cg
         n = cg.num_nodes
         total = cg.num_ports

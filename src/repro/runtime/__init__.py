@@ -1,12 +1,15 @@
 """Synchronous message-passing runtime for the port-numbering model (§2.2)."""
 
+# ``repro.portgraph`` imports ``repro.eds``, whose feasibility check
+# imports ``repro.runtime.outputs``: load the graph layer first, so that
+# module is never reached half-initialised.
+import repro.portgraph  # noqa: F401
 from repro.runtime.algorithm import (
     AnonymousAlgorithm,
     IdentifiedAlgorithm,
     Message,
     NodeProgram,
 )
-from repro.runtime.batch import ABSENT, BatchProgram
 from repro.runtime.outputs import (
     EdgeSelection,
     check_consistency,
@@ -17,24 +20,19 @@ from repro.runtime.scheduler import (
     DEFAULT_MAX_ROUNDS,
     ENGINES,
     RunResult,
-    engines_available,
     run_anonymous,
     run_identified,
     use_engine,
 )
 from repro.runtime.trace import ExecutionTrace, RoundTrace, SentMessage
-from repro.runtime.vector import VectorProgram, vector_available
+from repro.runtime.vector import VectorProgram
 
 __all__ = [
     "NodeProgram",
     "AnonymousAlgorithm",
     "IdentifiedAlgorithm",
     "Message",
-    "ABSENT",
-    "BatchProgram",
     "VectorProgram",
-    "vector_available",
-    "engines_available",
     "RunResult",
     "EdgeSelection",
     "run_anonymous",

@@ -23,13 +23,7 @@ from typing import Callable
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.runtime.algorithm import NodeProgram
-from repro.runtime.scheduler import (
-    DEFAULT_MAX_ROUNDS,
-    RunResult,
-    _make_programs,
-    _resolve_engine,
-    _run_programs,
-)
+from repro.runtime.scheduler import DEFAULT_MAX_ROUNDS, RunResult, _dispatch
 
 __all__ = ["RandomizedAlgorithm", "run_randomized"]
 
@@ -46,15 +40,16 @@ def run_randomized(
     record_trace: bool = False,
     engine: str | None = None,
 ) -> RunResult:
-    """Run a randomised anonymous algorithm with reproducible coins."""
+    """Run a randomised anonymous algorithm with reproducible coins.
+
+    Randomised algorithms have no vector kernel, so the default engine
+    runs them on the compiled loop.
+    """
     master = random.Random(seed)
-    programs = _make_programs(
-        graph,
+    return _dispatch(
+        graph, None, (),
         lambda v: algorithm(
             graph.degree(v), random.Random(master.getrandbits(64))
         ),
-    )
-    return _run_programs(
-        graph, programs, _resolve_engine(engine), max_rounds, record_trace,
-        False,
+        engine, max_rounds, record_trace, False,
     )

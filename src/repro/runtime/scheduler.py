@@ -16,39 +16,36 @@ count, and (optionally) a full message trace.
 Execution engines
 -----------------
 
-The round loop runs over the graph's **compiled flat-array form**
-(:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`): routing is
-one read of the flat involution array instead of a tuple-hash dict
-lookup, the delivery order is the graph's own construction order (no
-per-run re-derivation), per-node inbox mappings are preallocated once
-and reused across rounds, and traces are reconstructed from a flat log
-after the run instead of allocating per-round objects.  Five engines
-share the public entry points:
+Three engines share the public entry points:
 
-* ``"compiled"`` (default) — the flat-array loop; algorithms that opt in
-  to the batch-stepping protocol (:mod:`repro.runtime.batch`) advance
-  all nodes in one call per round instead of ``2·n`` dispatches;
-* ``"vector"`` — the numpy struct-of-arrays loop
+* ``"vector"`` (default) — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
-  array operations.  Algorithms without a vector kernel fall back to
-  the compiled engine with a one-time logged notice;
-* ``"auto"`` — ``"vector"`` when numpy and a vector kernel are
-  available, silently ``"compiled"`` otherwise;
-* ``"pernode"`` — the flat-array loop with batch stepping disabled
-  (every algorithm runs through its per-node programs);
-* ``"legacy"`` — the original dict-based reference loop
-  (:mod:`repro.runtime.legacy`), kept for differential testing and the
-  runtime benchmark.
+  array operations.  It runs the algorithm's vector kernel (the
+  ``vector_program`` hook); an algorithm without one — the baselines,
+  user-supplied programs, identifiers beyond int64 — runs on the
+  compiled loop instead, silently.
+* ``"compiled"`` — the per-node loop over the graph's **compiled
+  flat-array form**
+  (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`): every
+  node runs its own :class:`NodeProgram`, which knows only its degree,
+  so anonymity holds by construction (the paper-faithful reference).
+  Routing is one read of the flat involution array, the delivery order
+  is the graph's construction order, per-node inbox mappings are
+  preallocated once and reused across rounds, and traces are
+  reconstructed from a flat log after the run.
+* ``"legacy"`` — the original dict-based loop
+  (:mod:`repro.runtime.legacy`), the independent reference the
+  differential tests and the runtime benchmark compare against.
 
 All engines are observationally identical — same outputs, rounds, and
 traces; ``tests/test_runtime_compiled.py`` enforces this across the full
-algorithm × graph-family matrix.  Pick one per call (``engine=``) or for
-a whole region with :func:`use_engine`.
+algorithm × graph-family matrix.  The ``simulate`` span's ``engine``
+annotation names the engine that ran.  Pick one per call (``engine=``)
+or for a whole region with :func:`use_engine`.
 """
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -66,7 +63,6 @@ from repro.runtime.algorithm import (
     IdentifiedAlgorithm,
     NodeProgram,
 )
-from repro.runtime.batch import BatchProgram
 from repro.runtime.outputs import (
     EdgeSelection,
     check_selection,
@@ -78,19 +74,16 @@ from repro.runtime.trace import ExecutionTrace, trace_from_log
 __all__ = [
     "ENGINES",
     "RunResult",
-    "engines_available",
     "run_anonymous",
     "run_identified",
     "use_engine",
     "DEFAULT_MAX_ROUNDS",
 ]
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_MAX_ROUNDS = 100_000
 
 #: The selectable execution engines (see the module docstring).
-ENGINES = ("compiled", "vector", "auto", "pernode", "legacy")
+ENGINES = ("vector", "compiled", "legacy")
 
 _engine_override: ContextVar[str | None] = ContextVar(
     "repro_runtime_engine", default=None
@@ -117,7 +110,7 @@ def use_engine(name: str) -> Iterator[None]:
 
 def _resolve_engine(engine: str | None) -> str:
     if engine is None:
-        engine = _engine_override.get() or "compiled"
+        engine = _engine_override.get() or "vector"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; available: {ENGINES}"
@@ -311,48 +304,6 @@ def _record_run(rec, rounds: int, delivered: float, dropped: float) -> None:
     rec.annotate(rounds=rounds)
 
 
-def _execute_batch(
-    graph: PortNumberedGraph,
-    batch: BatchProgram,
-    max_rounds: int,
-    record_trace: bool,
-    strict_delivery: bool = False,
-) -> RunResult:
-    """The batch round loop: one :meth:`BatchProgram.step_all` per round."""
-    batch.record = record_trace
-    batch.strict = strict_delivery
-    rec = current_recorder()
-    batch.collect = rec is not None
-    inbox = batch.make_inbox()
-    rounds_log: list | None = [] if record_trace else None
-    rnd = 0
-
-    with span("simulate:rounds"):
-        while batch.num_running:
-            if rnd >= max_rounds:
-                raise RoundLimitExceeded(
-                    f"{batch.num_running} node(s) still running after "
-                    f"{max_rounds} rounds"
-                )
-            log = batch.step_all(rnd, inbox)
-            if rounds_log is not None:
-                rounds_log.append((log, list(batch.newly_halted)))
-            rnd += 1
-
-    cg = batch.cg
-    if rec is not None:
-        _record_run(rec, rnd, batch.delivered, batch.dropped)
-        rec.annotate(batch=True)
-    with span("simulate:egress"):
-        # The loop exits only when every node halted with an output.
-        selected = pack_outputs(cg, batch.outputs)
-        trace = (
-            trace_from_log(cg, rounds_log) if rounds_log is not None
-            else None
-        )
-    return RunResult(graph, selected, rnd, trace)
-
-
 def _execute_vector(
     graph: PortNumberedGraph,
     vec,
@@ -385,63 +336,12 @@ def _execute_vector(
     if rec is not None:
         _record_run(rec, rnd, vec.delivered, vec.dropped)
         rec.count("runtime.vector.runs")
-        rec.annotate(vector=True)
     with span("simulate:egress"):
         trace = (
             trace_from_log(cg, vec.materialise_log()) if record_trace
             else None
         )
     return RunResult(graph, vec.selected, rnd, trace)
-
-
-#: Algorithms already reported as lacking a vector kernel (the
-#: fall-back notice is logged once per algorithm, not per run).
-_vector_fallback_seen: set[str] = set()
-
-
-def engines_available() -> "dict[str, bool]":
-    """Engine name → availability in this environment.
-
-    Everything but ``"vector"`` is always available; ``"vector"`` needs
-    numpy to be importable (``"auto"`` is listed available regardless —
-    it silently falls back).  The CLI surfaces this in ``repro-eds
-    demo`` / ``profile``.
-    """
-    from repro.runtime.vector import vector_available
-
-    return {name: name != "vector" or vector_available() for name in ENGINES}
-
-
-def _make_vector_program(algorithm, graph, hook_args, explicit: bool):
-    """Resolve an algorithm's vector kernel, or ``None`` to fall back.
-
-    Explicitly requesting ``engine="vector"`` without numpy is an
-    actionable error; with numpy but no vector kernel it falls back to
-    the compiled engine with a one-time logged notice.  ``auto`` mode
-    (``explicit=False``) degrades silently on both counts.
-    """
-    from repro.runtime.vector import vector_available
-
-    if not vector_available():
-        if explicit:
-            raise SimulationError(
-                "engine='vector' requires numpy, which is not installed; "
-                "install the optional extra (pip install repro-eds[vector]) "
-                "or use engine='auto' to fall back automatically"
-            )
-        return None
-    hook = getattr(algorithm, "vector_program", None)
-    vec = None if hook is None else hook(graph, *hook_args)
-    if vec is None and explicit:
-        name = getattr(algorithm, "__name__", None) or type(algorithm).__name__
-        if name not in _vector_fallback_seen:
-            _vector_fallback_seen.add(name)
-            logger.info(
-                "algorithm %s has no vector program; engine='vector' "
-                "falls back to the compiled engine",
-                name,
-            )
-    return vec
 
 
 def _annotate_engine(resolved: str) -> None:
@@ -465,23 +365,6 @@ def _make_programs(
     return programs
 
 
-def _run_programs(
-    graph: PortNumberedGraph,
-    programs: dict[Node, NodeProgram],
-    engine: str,
-    max_rounds: int,
-    record_trace: bool,
-    strict_delivery: bool,
-) -> RunResult:
-    if engine == "legacy":
-        from repro.runtime.legacy import execute_legacy
-
-        return execute_legacy(
-            graph, programs, max_rounds, record_trace, strict_delivery
-        )
-    return _execute(graph, programs, max_rounds, record_trace, strict_delivery)
-
-
 def _dispatch(
     graph: PortNumberedGraph,
     algorithm,
@@ -494,36 +377,31 @@ def _dispatch(
 ) -> RunResult:
     """Pick the engine, build its kernel or programs, and run it.
 
-    *hook_args* follow the graph in the ``vector_program`` /
-    ``batch_program`` hook calls (``()`` anonymous, ``(ids,)``
-    identified).
+    *hook_args* follow the graph in the ``vector_program`` hook call
+    (``()`` anonymous, ``(ids,)`` identified); a missing hook or one
+    that returns ``None`` sends ``vector`` to the compiled loop.
     """
     resolved = _resolve_engine(engine)
-    if resolved in ("vector", "auto"):
-        with span("simulate:setup"):
-            vec = _make_vector_program(
-                algorithm, graph, hook_args, explicit=resolved == "vector"
-            )
-        if vec is not None:
-            _annotate_engine("vector")
-            return _execute_vector(
-                graph, vec, max_rounds, record_trace, strict_delivery
-            )
+    if resolved == "vector":
+        hook = getattr(algorithm, "vector_program", None)
+        if hook is not None:
+            with span("simulate:setup"):
+                vec = hook(graph, *hook_args)
+            if vec is not None:
+                _annotate_engine("vector")
+                return _execute_vector(
+                    graph, vec, max_rounds, record_trace, strict_delivery
+                )
         resolved = "compiled"
     _annotate_engine(resolved)
-    if resolved == "compiled":
-        make_batch = getattr(algorithm, "batch_program", None)
-        if make_batch is not None:
-            with span("simulate:setup"):
-                batch = make_batch(graph, *hook_args)
-            if batch is not None:
-                return _execute_batch(
-                    graph, batch, max_rounds, record_trace, strict_delivery
-                )
     programs = _make_programs(graph, make_program)
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
-    )
+    if resolved == "legacy":
+        from repro.runtime.legacy import execute_legacy
+
+        return execute_legacy(
+            graph, programs, max_rounds, record_trace, strict_delivery
+        )
+    return _execute(graph, programs, max_rounds, record_trace, strict_delivery)
 
 
 def run_anonymous(
@@ -551,9 +429,9 @@ def run_anonymous(
     user-supplied algorithms.
 
     *engine* selects the scheduler implementation (default
-    ``"compiled"``; see :data:`ENGINES` and :func:`use_engine`).  Under
-    the compiled engine a factory exposing ``batch_program(graph)``
-    (see :mod:`repro.runtime.batch`) is stepped all-nodes-at-once.
+    ``"vector"``; see :data:`ENGINES` and :func:`use_engine`).  Under
+    the vector engine a factory exposing ``vector_program(graph)`` is
+    stepped as whole-graph array operations.
     """
     return _dispatch(
         graph, algorithm, (), lambda v: algorithm(graph.degree(v)),
@@ -576,8 +454,8 @@ def run_identified(
     *ids* assigns each node a distinct integer; by default nodes are
     numbered by their deterministic order in ``graph.nodes``.  This runner
     exists for baseline comparisons (paper §1.3); the paper's own
-    algorithms never use it.  Batch-capable identified factories expose
-    ``batch_program(graph, ids)``.
+    algorithms never use it.  Identified factories with a vector kernel
+    expose ``vector_program(graph, ids)``.
     """
     if ids is None:
         ids = {v: k for k, v in enumerate(graph.nodes)}

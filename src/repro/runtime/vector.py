@@ -1,18 +1,22 @@
 """The vector execution engine: whole-graph rounds as numpy array ops.
 
-A :class:`~repro.runtime.batch.BatchProgram` advances all nodes in one
-call per round, but that call still loops over nodes (or schedule
-entries) in Python.  A :class:`VectorProgram` removes the inner loop
-too: per-node state lives in typed numpy arrays (struct-of-arrays),
+The compiled engine pays ``2·n`` method dispatches per round (one
+``send`` and one ``receive`` per running node) plus a mapping per inbox.
+A :class:`VectorProgram` advances **all** nodes in one
+:meth:`~VectorProgram.step_all` call per round with no Python loop over
+nodes: per-node state lives in typed numpy arrays (struct-of-arrays),
 messages are gathered through the flat involution with one fancy-index,
 and each round is a handful of whole-graph array operations over a
 :class:`~repro.portgraph.vector.VectorGraph`.
 
-Observational identity is the contract, exactly as for batch programs:
-same outputs, same round counts, and the same messages in the same
-canonical order (ascending node index, then the per-node program's send
--mapping order) as the compiled engine — the differential suite holds
-every vector kernel to that.
+Opting in: an algorithm factory exposes ``vector_program(graph)``
+(anonymous model) or ``vector_program(graph, ids)`` (identified model)
+returning a :class:`VectorProgram`, or ``None`` to run on the compiled
+loop instead.  Observational identity is the contract: same outputs,
+same round counts, and the same messages in the same canonical order
+(ascending node index, then the per-node program's send-mapping order)
+as the compiled engine — the differential suite holds every vector
+kernel to that.
 
 Tracing is *lazy*: the hot loop never allocates message objects.  When
 a trace is requested, each round appends compact **slabs** — the send
@@ -21,24 +25,18 @@ gports plus a payload code and up to two int columns — and
 ``(source, target, payload, dropped)`` log after the run, feeding the
 same :func:`~repro.runtime.trace.trace_from_log` path as the compiled
 engine.
-
-numpy is a core dependency and always present.
 """
 
 from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.exceptions import SimulationError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.vector import np, numpy_available
 
-__all__ = ["VectorProgram", "vector_available", "PAYLOADS"]
-
-
-def vector_available() -> bool:
-    """Whether the vector engine can run (numpy importable)."""
-    return numpy_available()
+__all__ = ["VectorProgram", "PAYLOADS"]
 
 
 # -- payload codec ---------------------------------------------------------
@@ -83,7 +81,8 @@ PAYLOADS = tuple(range(13))
 
 
 def _decode(code: int, a, b) -> object:
-    """One slab entry's payload back to the object the batch engine sends."""
+    """One slab entry's payload back to the object the per-node program
+    sends."""
     if code == PAYLOAD_INT:
         return int(a)
     tag = _BOOL_TAGS.get(code)
@@ -104,13 +103,15 @@ def _decode(code: int, a, b) -> object:
 class VectorProgram(abc.ABC):
     """All nodes of one graph, stepped together as numpy arrays.
 
-    Mirrors the :class:`~repro.runtime.batch.BatchProgram` surface the
-    scheduler reads — ``running``/``num_running``, ``newly_halted``, the
-    ``record``/``strict``/``collect`` flags and the
-    ``delivered``/``dropped`` counters — but ``running`` is a numpy bool
-    array and one :meth:`step_all` is array ops end to end.  Outputs are
-    not per-node sets: halting nodes write their ports into
-    ``selected``, the global-port mask the scheduler returns as
+    State the scheduler reads: ``running`` (a numpy bool array over node
+    indices) and ``num_running``, ``newly_halted`` (node indices halted
+    by the latest :meth:`step_all`, in node order), and the
+    ``delivered``/``dropped`` counters.  Flags it sets before the loop:
+    ``record`` (keep trace slabs), ``strict`` (raise on sends to halted
+    nodes instead of dropping) and ``collect`` (count messages for
+    telemetry).  Outputs are not per-node sets: halting nodes write
+    their ports into ``selected``, the global-port mask the scheduler
+    returns as
     :attr:`RunResult.selected <repro.runtime.scheduler.RunResult.selected>`.
 
     Subclasses implement :meth:`_step`; the base class owns the round

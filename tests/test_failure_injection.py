@@ -12,13 +12,15 @@ aborted sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import networkx as nx
 import pytest
 
 from repro.engine.cache import ResultCache, cache_key
-from repro.engine.executor import run_units
+from repro.engine.executor import execute_unit, run_units
+from repro.engine.records import ResultRecord
 from repro.engine.spec import GraphSpec, JobSpec
 from repro.exceptions import (
     InconsistentOutputError,
@@ -32,14 +34,8 @@ from repro.runtime import (
     NodeProgram,
     run_anonymous,
     use_engine,
-    vector_available,
 )
 from repro.runtime.outputs import decode_edge_set
-
-
-def _skip_unless_runnable(engine: str) -> None:
-    if engine == "vector" and not vector_available():
-        pytest.skip("numpy not installed")
 
 
 class SendsOnBadPort(NodeProgram):
@@ -150,7 +146,6 @@ class TestDeliveryTelemetry:
     def test_delivered_and_dropped_counted(self, engine):
         # path 0-1-2: round 0 delivers 4 messages everywhere; rounds 1-2
         # the middle node broadcasts 2 messages each to halted leaves.
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
             with use_engine(engine):
@@ -164,7 +159,6 @@ class TestDeliveryTelemetry:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_counters_match_trace_labels(self, engine):
         """The counters agree with the ground truth in the full trace."""
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
             with use_engine(engine):
@@ -181,7 +175,6 @@ class TestDeliveryTelemetry:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_strict_delivery_rejects_the_same_run(self, engine):
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with use_engine(engine):
             with pytest.raises(SimulationError, match="halted"):
@@ -258,8 +251,10 @@ class TestCacheReadValidation:
         [
             lambda record: record.pop("algorithm"),  # missing field
             lambda record: record.update(extra=7),  # wrong type
+            lambda record: record.update(rounds="1"),  # str for int
+            lambda record: record.update(solution_size=True),  # bool for int
         ],
-        ids=["missing-field", "wrong-type"],
+        ids=["missing-field", "wrong-type", "str-rounds", "bool-size"],
     )
     def test_unparseable_record_is_recomputed(self, tmp_path, caplog,
                                               damage):
@@ -279,3 +274,41 @@ class TestCacheReadValidation:
         assert json.loads(cache.path_for(key).read_text()) == (
             first.records[2].to_json_dict()
         )
+
+    def test_scalar_table_follows_field_order(self):
+        """``from_json_dict`` passes the scalars positionally, so a
+        record with a two-sided bracket must round-trip field for
+        field."""
+        from repro.engine.records import _BRACKET_DEFAULTS, _FIELD_TYPES
+
+        names = [f.name for f in dataclasses.fields(ResultRecord)]
+        assert list(_FIELD_TYPES) == names[:-1]
+        assert list(_BRACKET_DEFAULTS) == names[-7:-1]
+        record = ResultRecord(
+            "k", "bounded_degree", "regular", "r", 8, 12, 3, 5, 0, False,
+            0, 1, 40, 7, 3, 4, 5, 4, 5, 3, {"x": 1},
+        )
+        assert ResultRecord.from_json_dict(record.to_json_dict()) == record
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rounds", "1"),
+            ("num_nodes", 12.0),
+            ("solution_size", True),
+            ("optimum_upper", None),
+            ("optimum_exact", 1),
+            ("algorithm", 3),
+            ("key", None),
+            ("messages", "7"),
+            ("messages", False),
+        ],
+    )
+    def test_wrong_scalar_type_rejected(self, field, value):
+        """``from_json_dict`` raises ``TypeError`` (which the cache turns
+        into a logged miss) for every scalar field of the wrong type."""
+        data = execute_unit(self.units()[0]).to_json_dict()
+        assert ResultRecord.from_json_dict(data).to_json_dict() == data
+        data[field] = value
+        with pytest.raises(TypeError, match=repr(field)):
+            ResultRecord.from_json_dict(data)

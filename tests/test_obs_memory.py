@@ -257,12 +257,8 @@ class TestGraphBuildSubPhases:
         assert parent < generate
 
     def test_vector_view_phase_appears_on_vector_engine(self):
-        from repro.runtime import use_engine, vector_available
+        from repro.runtime import use_engine
 
-        if not vector_available():
-            import pytest
-
-            pytest.skip("numpy not installed")
         with telemetry() as session, use_engine("vector"):
             api.run_sweep(units()[:1], cache=None, backend="inline")
         assert "graph_build:vector_view" in session.phase_names()

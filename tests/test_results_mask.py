@@ -34,6 +34,7 @@ from repro.registry.algorithms import resolve
 from repro.registry.families import get_family
 from repro.runtime import (
     DEFAULT_MAX_ROUNDS,
+    ENGINES,
     NodeProgram,
     decode_edge_set,
     run_anonymous,
@@ -42,7 +43,6 @@ from repro.runtime import (
 from repro.runtime.legacy import execute_legacy
 from repro.runtime.outputs import EdgeSelection
 
-ENGINES = ("compiled", "vector", "pernode", "legacy")
 PAPER_ALGORITHMS = ("port_one", "regular_odd", "bounded_degree")
 SMALL_GRAPHS = (
     ("regular", {"d": 3, "n": 10}),
@@ -201,7 +201,7 @@ class TestChecksRunOnEveryUnit:
             with pytest.raises(AlgorithmContractError, match="infeasible"):
                 execute_unit(pairing_unit())
 
-    @pytest.mark.parametrize("engine", ("compiled", "pernode", "legacy"))
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "output,message",
         [
@@ -256,8 +256,7 @@ def test_quality_unit_on_vector_builds_no_port_edges(monkeypatch):
     "engine,name",
     [
         ("vector", "bounded_degree"),
-        ("compiled", "bounded_degree"),  # batch program
-        ("pernode", "bounded_degree"),
+        ("compiled", "bounded_degree"),
         ("compiled", "randomized_matching"),  # per-node, randomised
     ],
 )
@@ -275,6 +274,5 @@ def test_simulate_splits_into_setup_rounds_egress(engine, name):
     children = {s.name for s in spans if s.parent == sim}
     assert {"simulate:setup", "simulate:rounds",
             "simulate:egress"} <= children
-    if name != "randomized_matching":
-        assert spans[sim].attrs["engine"] == engine
+    assert spans[sim].attrs["engine"] == engine
     assert spans[sim].attrs["rounds"] > 0

@@ -1,13 +1,13 @@
-"""Differential tests: the compiled scheduler against the legacy reference.
+"""Differential tests: every engine against the legacy reference.
 
-The compiled flat-array round loop (and the batch-stepping programs
-layered on it) must be *observationally identical* to the legacy
-dict-based scheduler: same outputs, same round counts, and the same
-full message traces.  This suite asserts exactly that across every
-registered simulator-driven algorithm × every plain graph family at two
-sizes, plus the structural edge cases (loops, parallel edges, degree-0
-nodes, the empty graph) — and pins the engine contract that the rewrite
-left every content address and cached record byte-identical.
+The compiled per-node loop and the vector kernels must be
+*observationally identical* to the legacy dict-based scheduler: same
+outputs, same round counts, and the same full message traces.  This
+suite asserts exactly that across every registered simulator-driven
+algorithm × every plain graph family at two sizes, plus the structural
+edge cases (loops, parallel edges, degree-0 nodes, the empty graph) —
+and pins the engine contract that the rewrite left every content
+address and cached record byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.runtime import (
     NodeProgram,
     run_anonymous,
     use_engine,
-    vector_available,
 )
 from repro.runtime.scheduler import _resolve_engine
 
@@ -80,12 +79,8 @@ def build(family: str, params: dict):
 
 def candidate_engines() -> list[str]:
     """Every engine the differential matrix must hold against the
-    legacy reference.  ``vector`` joins only when numpy is importable
-    (``auto`` is always testable: it degrades to ``compiled``)."""
-    engines = ["compiled", "pernode", "auto"]
-    if vector_available():
-        engines.insert(1, "vector")
-    return engines
+    legacy reference."""
+    return ["compiled", "vector"]
 
 
 def traced_run(name: str, graph, engine: str):
@@ -125,7 +120,7 @@ class TestMatrixCoverage:
 @pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
 @pytest.mark.parametrize("which", [0, 1])
 def test_differential_full_matrix(family: str, which: int):
-    """Compiled (and batch) runs equal the legacy reference everywhere."""
+    """Compiled and vector runs equal the legacy reference everywhere."""
     graph = build(family, FAMILY_INSTANCES[family][which])
     for name in simulated_algorithms():
         reference = traced_run(name, graph, "legacy")
@@ -212,17 +207,17 @@ class _ChattyLeafHalter(NodeProgram):
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "vector", "auto", "pernode", "legacy")
+        assert ENGINES == ("vector", "compiled", "legacy")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             _resolve_engine("vectorised")
 
     def test_use_engine_restores(self):
-        assert _resolve_engine(None) == "compiled"
+        assert _resolve_engine(None) == "vector"
         with use_engine("legacy"):
             assert _resolve_engine(None) == "legacy"
-        assert _resolve_engine(None) == "compiled"
+        assert _resolve_engine(None) == "vector"
 
     def test_explicit_engine_beats_override(self, triangle):
         with use_engine("legacy"):
@@ -244,8 +239,6 @@ class TestDroppedSends:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_dropped_flagged_consistently(self, engine: str):
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         result = run_anonymous(
             self._star(), _ChattyLeafHalter,
             record_trace=True, engine=engine,
@@ -273,8 +266,6 @@ class TestDroppedSends:
     def test_strict_delivery_raises_on_every_engine(self, engine: str):
         from repro.exceptions import SimulationError
 
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         with pytest.raises(SimulationError, match="sent to halted node"):
             run_anonymous(
                 self._star(), _ChattyLeafHalter,
@@ -283,8 +274,8 @@ class TestDroppedSends:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_strict_delivery_batch_path(self, engine: str):
-        """ids_greedy halts nodes at different times, so its *batch*
-        routing (not just the per-node fallback) must honour strict
+        """ids_greedy halts nodes at different times, so its *kernel*
+        routing (not just the per-node loop) must honour strict
         delivery with the same error shape as the reference."""
         from repro.algorithms.maximal_matching_ids import (
             GreedyMaximalMatchingIds,
@@ -292,8 +283,6 @@ class TestDroppedSends:
         from repro.exceptions import SimulationError
         from repro.runtime import run_identified
 
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         graph = build("regular", {"d": 3, "n": 8})
         with pytest.raises(SimulationError, match="sent to halted node"):
             run_identified(
@@ -320,17 +309,22 @@ class TestCacheStability:
             spec = JobSpec.from_json_dict(entry["spec"])
             assert execute_unit(spec).to_json_dict() == entry["record"]
 
-    def test_records_reproduced_with_vector_engine(self):
-        """Cache keys and record bytes are engine-independent: the same
-        units recomputed under the vector engine reproduce the
-        pre-refactor records bit for bit."""
-        if not vector_available():
-            pytest.skip("numpy not installed")
-        with use_engine("vector"):
+    def _assert_reproduced_under(self, engine: str) -> None:
+        with use_engine(engine):
             for entry in self.fixture_entries():
                 spec = JobSpec.from_json_dict(entry["spec"])
                 assert cache_key(spec) == entry["key"]
                 assert execute_unit(spec).to_json_dict() == entry["record"]
+
+    def test_records_reproduced_with_vector_engine(self):
+        """Cache keys and record bytes are engine-independent: the same
+        units recomputed under the vector kernels reproduce the
+        pre-refactor records bit for bit."""
+        self._assert_reproduced_under("vector")
+
+    def test_records_reproduced_with_compiled_engine(self):
+        """... and so do the compiled per-node programs."""
+        self._assert_reproduced_under("compiled")
 
     def test_pre_refactor_cache_entry_hits(self, tmp_path):
         entries = self.fixture_entries()

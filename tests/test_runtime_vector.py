@@ -1,11 +1,10 @@
-"""The numpy vector engine: selection, fallback, and degradation.
+"""The numpy vector engine: engine selection and vector plumbing.
 
 Observational identity with the compiled engine is enforced by the
-differential matrix in ``test_runtime_compiled.py`` (which includes
-``vector`` whenever numpy is installed).  This module covers what the
-matrix cannot: the engine-selection contract — ``auto`` degrading
-silently, explicit ``vector`` raising without numpy, the one-time
-fallback notice for algorithms without a vector kernel — plus the
+differential matrix in ``test_runtime_compiled.py``.  This module covers
+what the matrix cannot: the engine-selection contract — ``vector`` is
+the default, an algorithm without a vector kernel runs on the compiled
+loop silently, removed engine names are rejected — plus the
 vector-specific plumbing (memoised :class:`VectorGraph` views, lazy
 trace slabs, telemetry annotations).
 """
@@ -17,21 +16,17 @@ import logging
 import pytest
 
 from repro.algorithms.maximal_matching_ids import GreedyMaximalMatchingIds
-from repro.exceptions import SimulationError
+from repro.algorithms.port_one import PortOneEDS
+from repro.obs import recording
+from repro.obs.spans import span
 from repro.portgraph import PortGraphBuilder
 from repro.registry.families import get_family
 from repro.runtime import (
+    ENGINES,
     NodeProgram,
-    engines_available,
     run_anonymous,
     run_identified,
     use_engine,
-    vector_available,
-)
-from repro.runtime import scheduler as scheduler_module
-
-needs_numpy = pytest.mark.skipif(
-    not vector_available(), reason="numpy not installed"
 )
 
 
@@ -40,7 +35,7 @@ def small_regular():
 
 
 class _NoVectorKernel(NodeProgram):
-    """A per-node program with no batch or vector opt-in."""
+    """A per-node program with no vector opt-in."""
 
     def send(self, rnd):
         return {}
@@ -49,118 +44,50 @@ class _NoVectorKernel(NodeProgram):
         self.halt()
 
 
-@pytest.fixture
-def clear_fallback_notices():
-    scheduler_module._vector_fallback_seen.clear()
-    yield
-    scheduler_module._vector_fallback_seen.clear()
-
-
-class TestEnginesAvailable:
-    def test_reports_every_engine(self):
-        avail = engines_available()
-        assert set(avail) == {
-            "compiled", "vector", "auto", "pernode", "legacy"
-        }
-        assert all(avail[name] for name in avail if name != "vector")
-
-    def test_vector_availability_matches_probe(self):
-        assert engines_available()["vector"] == vector_available()
+def _engine_that_ran(algorithm, **kwargs):
+    """Run *algorithm* inside a ``simulate`` span; return the result,
+    the span's ``engine`` annotation and the recorder's counters."""
+    with recording() as rec:
+        with span("simulate"):
+            result = run_anonymous(small_regular(), algorithm, **kwargs)
+    (sim,) = [s for s in rec.spans if s.name == "simulate"]
+    return result, sim.attrs["engine"], rec.counters
 
 
 class TestSelectionContract:
-    @needs_numpy
     def test_explicit_vector_runs_vector(self):
-        from repro.algorithms.port_one import PortOneEDS
-        from repro.obs import recording
-
         with recording() as rec:
             run_anonymous(small_regular(), PortOneEDS, engine="vector")
         assert rec.counters.get("runtime.vector.runs") == 1
 
-    @needs_numpy
-    def test_auto_prefers_vector(self):
-        from repro.algorithms.port_one import PortOneEDS
-        from repro.obs import recording
+    def test_default_runs_vector(self):
+        _, engine, counters = _engine_that_ran(PortOneEDS)
+        assert engine == "vector"
+        assert counters.get("runtime.vector.runs") == 1
 
-        with recording() as rec:
-            with use_engine("auto"):
-                run_anonymous(small_regular(), PortOneEDS)
-        assert rec.counters.get("runtime.vector.runs") == 1
-
-    def test_auto_without_kernel_runs_compiled(self):
-        from repro.obs import recording
-
-        with recording() as rec:
-            result = run_anonymous(
-                small_regular(), _NoVectorKernel, engine="auto"
+    @pytest.mark.parametrize("engine", [None, "vector"])
+    def test_without_kernel_runs_compiled_silently(self, caplog, engine):
+        """No vector kernel: the compiled loop runs, the span says so,
+        and nothing is logged."""
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            result, ran, counters = _engine_that_ran(
+                _NoVectorKernel, engine=engine
             )
         assert result.rounds == 1
-        assert "runtime.vector.runs" not in rec.counters
-
-    def test_fallback_notice_logged_once(self, caplog,
-                                         clear_fallback_notices):
-        """Explicit ``vector`` without a vector kernel degrades to the
-        compiled engine with a single logged notice per algorithm."""
-        if not vector_available():
-            pytest.skip("numpy not installed")
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            run_anonymous(small_regular(), _NoVectorKernel, engine="vector")
-            run_anonymous(small_regular(), _NoVectorKernel, engine="vector")
-        notices = [
-            rec for rec in caplog.records
-            if "falls back to the compiled engine" in rec.getMessage()
-        ]
-        assert len(notices) == 1
-
-    def test_auto_fallback_is_silent(self, caplog, clear_fallback_notices):
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            run_anonymous(small_regular(), _NoVectorKernel, engine="auto")
-        assert not [
-            rec for rec in caplog.records
-            if "falls back" in rec.getMessage()
-        ]
-
-
-class TestWithoutNumpy:
-    """The degradation paths, exercised by faking numpy's absence."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.portgraph.vector as pv
-
-        monkeypatch.setattr(pv, "np", None)
-        yield
-
-    def test_explicit_vector_raises_actionable_error(self, no_numpy):
-        from repro.algorithms.port_one import PortOneEDS
-
-        with pytest.raises(SimulationError, match=r"repro-eds\[vector\]"):
-            run_anonymous(small_regular(), PortOneEDS, engine="vector")
-
-    def test_auto_falls_back_silently(self, no_numpy, caplog):
-        from repro.algorithms.port_one import PortOneEDS
-
-        assert not vector_available()
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            result = run_anonymous(
-                small_regular(), PortOneEDS, engine="auto",
-            )
-        assert result.rounds == 1
+        assert ran == "compiled"
+        assert "runtime.vector.runs" not in counters
         assert not caplog.records
 
-    def test_engines_available_reports_missing(self, no_numpy):
-        assert engines_available()["vector"] is False
+    @pytest.mark.parametrize("name", ["auto", "pernode"])
+    def test_removed_engine_names_rejected(self, name):
+        assert name not in ENGINES
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_anonymous(small_regular(), PortOneEDS, engine=name)
+        with pytest.raises(ValueError, match="unknown engine"):
+            with use_engine(name):
+                pass
 
-    def test_identified_explicit_vector_raises(self, no_numpy):
-        graph = get_family("regular").make({"d": 3, "n": 8}, 7)
-        with pytest.raises(SimulationError, match="requires numpy"):
-            run_identified(
-                graph, GreedyMaximalMatchingIds, engine="vector"
-            )
 
-
-@needs_numpy
 class TestVectorGraphView:
     def test_memoised_on_compiled_graph(self):
         graph = small_regular()
@@ -193,7 +120,6 @@ class TestVectorGraphView:
         assert list(out) == [5, 3, 99]
 
 
-@needs_numpy
 class TestLazyTraces:
     def test_trace_only_materialised_on_request(self):
         """Without ``record_trace`` the vector run keeps no slabs."""
@@ -221,7 +147,6 @@ class TestLazyTraces:
         assert vector.trace == compiled.trace
 
 
-@needs_numpy
 class TestIdOverflow:
     def test_oversized_ids_fall_back(self):
         """Identifiers beyond int64 cannot enter the id arrays; the
@@ -229,9 +154,7 @@ class TestIdOverflow:
         graph = get_family("regular").make({"d": 3, "n": 8}, 7)
         huge = {v: 2 ** 70 + i for i, v in enumerate(graph.nodes)}
         assert GreedyMaximalMatchingIds.vector_program(graph, huge) is None
-        with_ids = run_identified(
-            graph, GreedyMaximalMatchingIds, ids=huge, engine="auto"
-        )
+        with_ids = run_identified(graph, GreedyMaximalMatchingIds, ids=huge)
         reference = run_identified(
             graph, GreedyMaximalMatchingIds, ids=huge, engine="compiled"
         )
