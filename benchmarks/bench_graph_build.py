@@ -96,7 +96,11 @@ def measure_units() -> dict:
         })
     for d, n in REGULAR:
         direct_s = _best_of(lambda: pairing_regular(d, n, seed=SEED))
-        nx_s = _best_of(lambda: random_regular(d, n, seed=SEED))
+        # Forced numbering keeps this column on the networkx route;
+        # without one, random_regular lowers its ports straight to CSR.
+        nx_s = _best_of(lambda: random_regular(
+            d, n, seed=SEED, numbering=random_numbering(SEED)
+        ))
         rows.append({
             "unit": f"regular d={d} n={n}", "kind": "regular",
             "n": n, "edges": n * d // 2,
@@ -172,7 +176,9 @@ def test_direct_beats_networkx_5x_on_regular_slice():
     16-19× in the development container; 5× leaves headroom for
     shared-runner noise."""
     direct_s = _best_of(lambda: pairing_regular(4, 4096, seed=SEED))
-    nx_s = _best_of(lambda: random_regular(4, 4096, seed=SEED))
+    nx_s = _best_of(lambda: random_regular(
+        4, 4096, seed=SEED, numbering=random_numbering(SEED)
+    ))
     emit(
         f"graph-build gate d=4 n=4096: direct={direct_s * 1000:.1f} ms, "
         f"networkx={nx_s * 1000:.1f} ms ({nx_s / direct_s:.1f}x)"

@@ -13,7 +13,8 @@ The engine turns the reproduction's experiments into data-driven grids:
   (``inline``, ``thread``, ``process``, and the self-calibrating
   ``auto`` that probes per-unit cost before paying pool startup);
 * :mod:`repro.engine.executor` — grid execution over a backend with
-  write-through caching and progress/ETA reporting;
+  write-through caching and progress/ETA reporting; a backend's unit of
+  work is the *cell* (the units on one graph), whose graph is built once;
 * :mod:`repro.engine.measures` — the built-in measures (``quality``,
   ``messages``, ``adversary``, ``phase_split``) and the shared
   build → run → measure → record pipeline behind the
@@ -25,7 +26,7 @@ The engine turns the reproduction's experiments into data-driven grids:
   results store the analysis layer formats.
 
 Every experiment driver (Table 1, figures, sweeps, ablations) routes
-its execution through :func:`run_units`, so any repeated cell anywhere
+its execution through :func:`run_units`, so any repeated unit anywhere
 in the harness is computed exactly once per cache directory.
 """
 

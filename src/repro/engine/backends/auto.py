@@ -6,7 +6,9 @@ run, while for expensive units it vanishes.  ``AutoBackend`` measures
 instead of guessing: it executes the first few pending units inline
 with a wall clock around each, and fans the remainder out to the
 process backend only when the observed per-unit cost clears the
-threshold (and there is enough work left to amortise the pool).
+threshold (and there is enough work left to amortise the pool).  It
+runs cell by cell like the inline backend, so the clock still reads one
+unit at a time and the first unit of a cell pays for the cell's graph.
 
 Grids are not homogeneous — a sweep ordered cheapest-first (small n
 before large) would fool a probe-once policy into serial execution just
@@ -29,6 +31,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.engine.backends.base import ExecutionBackend
+from repro.engine.backends.inline import InlineBackend
 from repro.engine.backends.process import ProcessBackend
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -112,8 +115,6 @@ class AutoBackend(ExecutionBackend):
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
     ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
-        from repro.engine.executor import execute_unit_instrumented
-
         pending = list(pending)
         hint = self._measure_hint(pending) if pending else ""
         if hint == "inline":
@@ -123,13 +124,11 @@ class AutoBackend(ExecutionBackend):
                 "— calibration skipped",
             )
             if self.workers <= 1:
-                for index, spec in pending:
-                    record, telemetry = execute_unit_instrumented(spec)
-                    yield index, record, telemetry
+                yield from InlineBackend().run(pending)
             else:
                 # The hint skips the probe, not the safety net: a unit
                 # that itself clears the threshold still re-escalates.
-                yield from self._inline_provisional(pending)
+                yield from self._inline(pending, calibrate=False)
             return
         if hint in ("process", "thread") and self.workers > 1:
             if hint == "thread":
@@ -154,59 +153,73 @@ class AutoBackend(ExecutionBackend):
                 else f"{len(pending)} pending unit(s) — too few to "
                 "amortise a pool",
             )
-            for index, spec in pending:
-                record, telemetry = execute_unit_instrumented(spec)
-                yield index, record, telemetry
+            yield from InlineBackend().run(pending)
             return
+        yield from self._inline(pending, calibrate=True)
 
-        elapsed = 0.0
-        for index, spec in pending[: self.probe]:
-            started = self.clock()
-            record, telemetry = execute_unit_instrumented(spec)
-            elapsed += self.clock() - started
-            yield index, record, telemetry
-        per_unit = elapsed / self.probe
-        remainder = pending[self.probe:]
+    def _inline(
+        self, pending: Sequence[tuple[int, "JobSpec"]], *, calibrate: bool
+    ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
+        """Inline execution cell by cell, every unit on the clock.
 
-        if per_unit >= self.threshold:
+        With *calibrate*, the first :attr:`probe` units decide by their
+        mean cost between fanning the rest out and staying inline.
+        Staying is provisional — grids ordered cheapest-first would
+        otherwise fool the probe — so the first later unit that itself
+        clears the threshold re-escalates the rest.  A hand-off in the
+        middle of a cell drops its graph, and the rest of that cell
+        reaches the fan-out as a smaller cell.
+        """
+        from repro.engine.executor import cells, execute_cell
+
+        probe = self.probe if calibrate else 0
+        done = 0
+        probed_s = 0.0
+        for cell in cells(pending):
+            results = execute_cell(cell)
+            for _ in cell:
+                started = self.clock()
+                item = next(results)
+                cost = self.clock() - started
+                yield item
+                done += 1
+                left = len(pending) - done
+                if done <= probe:
+                    probed_s += cost
+                    escalate = done == probe and self._probe_verdict(
+                        probed_s / probe, left
+                    )
+                else:
+                    escalate = self._re_escalate(cost, left)
+                if escalate:
+                    results.close()
+                    yield from self.fanout.run(pending[done:])
+                    return
+
+    def _probe_verdict(self, per_unit: float, left: int) -> bool:
+        """Commit the probe's decision; whether to fan the rest out."""
+        fan_out = per_unit >= self.threshold
+        note = (
+            f"probed {self.probe} unit(s): {per_unit * 1000:.1f} ms/unit"
+            f" {'≥' if fan_out else '<'} {self.threshold * 1000:.1f} ms "
+            "threshold → "
+        )
+        if fan_out:
             self._commit(
                 self.fanout.describe(),
-                f"probed {self.probe} unit(s): {per_unit * 1000:.1f} ms/unit"
-                f" ≥ {self.threshold * 1000:.1f} ms threshold → "
-                f"{self.fanout.describe()} for {len(remainder)} unit(s)",
+                note + f"{self.fanout.describe()} for {left} unit(s)",
             )
-            yield from self.fanout.run(remainder)
-            return
+        else:
+            self._commit("inline", note + "staying inline")
+        return fan_out
 
+    def _re_escalate(self, cost: float, left: int) -> bool:
+        """Whether a unit past the probe hands the rest to the fan-out."""
+        if cost < self.threshold or left <= 1:
+            return False
         self._commit(
-            "inline",
-            f"probed {self.probe} unit(s): {per_unit * 1000:.1f} ms/unit"
-            f" < {self.threshold * 1000:.1f} ms threshold → staying "
-            "inline",
+            self.fanout.describe(),
+            f"{self.decision}; re-escalated after a {cost * 1000:.1f} ms "
+            f"unit → {self.fanout.describe()} for {left} unit(s)",
         )
-        # Provisional: grids ordered cheapest-first would otherwise fool
-        # the probe, so the first genuinely slow unit re-escalates.
-        yield from self._inline_provisional(remainder)
-
-    def _inline_provisional(
-        self, remainder: Sequence[tuple[int, "JobSpec"]]
-    ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
-        """Inline execution, every unit on the clock; the first unit
-        that itself clears the threshold re-escalates the rest."""
-        from repro.engine.executor import execute_unit_instrumented
-
-        for position, (index, spec) in enumerate(remainder):
-            started = self.clock()
-            record, telemetry = execute_unit_instrumented(spec)
-            cost = self.clock() - started
-            yield index, record, telemetry
-            rest = remainder[position + 1:]
-            if cost >= self.threshold and len(rest) > 1:
-                self._commit(
-                    self.fanout.describe(),
-                    f"{self.decision}; re-escalated after a "
-                    f"{cost * 1000:.1f} ms unit → "
-                    f"{self.fanout.describe()} for {len(rest)} unit(s)",
-                )
-                yield from self.fanout.run(rest)
-                return
+        return True

@@ -38,6 +38,13 @@ class ExecutionBackend:
     :meth:`describe` names what actually ran (e.g.
     ``"process(workers=4)"``) and :attr:`decision` carries a human-
     readable calibration note for backends that choose at run time.
+
+    The built-in backends split *pending* with
+    :func:`~repro.engine.executor.cells` and run each cell through
+    :func:`~repro.engine.executor.execute_cell`, which builds the cell's
+    graph once.  A backend that calls
+    :func:`~repro.engine.executor.execute_unit_instrumented` per unit
+    gets the same records; it just builds one graph per unit.
     """
 
     #: Registry name; set by subclasses.

@@ -1,7 +1,8 @@
 """The zero-overhead serial backend.
 
 Executes every unit in the calling process, in submission order, with
-no pickling, no pool startup, and no thread handoff.  This is the right
+no pickling, no pool startup, and no thread handoff; each cell's graph
+is built once and shared by its units.  This is the right
 choice for grids of very small units (pool startup alone dominates
 below ~5 ms/unit) and is what ``"auto"`` stays on until calibration
 says otherwise.
@@ -29,8 +30,7 @@ class InlineBackend(ExecutionBackend):
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
     ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
-        from repro.engine.executor import execute_unit_instrumented
+        from repro.engine.executor import cells, execute_cell
 
-        for index, spec in pending:
-            record, telemetry = execute_unit_instrumented(spec)
-            yield index, record, telemetry
+        for cell in cells(pending):
+            yield from execute_cell(cell)

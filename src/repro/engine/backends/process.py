@@ -1,9 +1,10 @@
 """The ``multiprocessing`` fan-out backend.
 
-This is the engine's original sharded executor path, extracted: workers
-receive plain spec dictionaries and resolve algorithm/graph/measure
-names through the registry themselves, which keeps the fan-out free of
-code pickling (and safe under both ``fork`` and ``spawn`` start
+This is the engine's original sharded executor path, extracted: each
+task is one cell (the units on one graph, built once in the worker).
+Workers receive plain spec dictionaries and resolve algorithm/graph/
+measure names through the registry themselves, which keeps the fan-out
+free of code pickling (and safe under both ``fork`` and ``spawn`` start
 methods).  For plugins registered outside the built-in catalogue, each
 payload carries the names of the registering modules so a ``spawn``
 worker can re-import them — which is why plugins must register at
@@ -63,14 +64,16 @@ def _plugin_modules(units: Iterable["JobSpec"]) -> tuple[str, ...]:
 
 
 def _worker(
-    payload: tuple[int, dict[str, Any], tuple[str, ...], bool, bool]
-) -> tuple[int, dict[str, Any], dict[str, Any] | None]:
-    from repro.engine.executor import execute_unit_instrumented
+    payload: tuple[
+        list[tuple[int, dict[str, Any]]], tuple[str, ...], bool, bool
+    ]
+) -> list[tuple[int, dict[str, Any], dict[str, Any] | None]]:
+    from repro.engine.executor import execute_cell
     from repro.engine.spec import JobSpec
     from repro.obs.memory import set_memory_collection
     from repro.obs.spans import set_collection
 
-    index, spec_dict, plugin_modules, collect_telemetry, collect_mem = payload
+    cell, plugin_modules, collect_telemetry, collect_mem = payload
     # The parent's telemetry switch doesn't exist in a ``spawn`` worker
     # (fresh interpreter) and may be stale in a ``fork`` one, so every
     # payload carries it (the memory switch rides along the same way).
@@ -87,18 +90,22 @@ def _worker(
             logger.warning(
                 "could not re-import plugin module %r in worker", module
             )
-    record, telemetry = execute_unit_instrumented(
-        JobSpec.from_json_dict(spec_dict)
-    )
-    return (
-        index,
-        record.to_json_dict(),
-        telemetry.to_json_dict() if telemetry is not None else None,
-    )
+    units = [
+        (index, JobSpec.from_json_dict(spec_dict))
+        for index, spec_dict in cell
+    ]
+    return [
+        (
+            index,
+            record.to_json_dict(),
+            telemetry.to_json_dict() if telemetry is not None else None,
+        )
+        for index, record, telemetry in execute_cell(units)
+    ]
 
 
 class ProcessBackend(ExecutionBackend):
-    """Shard units across a ``multiprocessing.Pool``."""
+    """Shard cells across a ``multiprocessing.Pool``."""
 
     name = "process"
 
@@ -111,32 +118,33 @@ class ProcessBackend(ExecutionBackend):
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
     ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
-        from repro.engine.executor import execute_unit_instrumented
+        from repro.engine.executor import cells, execute_cell
         from repro.engine.records import ResultRecord
         from repro.obs.memory import memory_collection_enabled
         from repro.obs.spans import UnitTelemetry, collection_enabled
 
-        pending = list(pending)
-        if self.workers == 1 or len(pending) <= 1:
-            # A pool of one (or for one unit) is pure overhead.
-            for index, spec in pending:
-                record, telemetry = execute_unit_instrumented(spec)
-                yield index, record, telemetry
+        tasks = list(cells(pending))
+        if self.workers == 1 or len(tasks) <= 1:
+            # A pool of one (or for one cell) is pure overhead.
+            for cell in tasks:
+                yield from execute_cell(cell)
             return
-        plugins = _plugin_modules(spec for _, spec in pending)
+        plugins = _plugin_modules(spec for cell in tasks for _, spec in cell)
         collect = collection_enabled()
         collect_mem = memory_collection_enabled()
         payloads = [
-            (index, spec.to_json_dict(), plugins, collect, collect_mem)
-            for index, spec in pending
+            (
+                [(index, spec.to_json_dict()) for index, spec in cell],
+                plugins, collect, collect_mem,
+            )
+            for cell in tasks
         ]
-        with multiprocessing.Pool(min(self.workers, len(pending))) as pool:
-            for index, record_dict, telemetry_dict in pool.imap_unordered(
-                _worker, payloads
-            ):
-                yield (
-                    index,
-                    ResultRecord.from_json_dict(record_dict),
-                    UnitTelemetry.from_json_dict(telemetry_dict)
-                    if telemetry_dict is not None else None,
-                )
+        with multiprocessing.Pool(min(self.workers, len(tasks))) as pool:
+            for results in pool.imap_unordered(_worker, payloads):
+                for index, record_dict, telemetry_dict in results:
+                    yield (
+                        index,
+                        ResultRecord.from_json_dict(record_dict),
+                        UnitTelemetry.from_json_dict(telemetry_dict)
+                        if telemetry_dict is not None else None,
+                    )

@@ -10,8 +10,7 @@ plugins registered in this process are simply visible.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.engine.backends.base import ExecutionBackend
@@ -25,7 +24,7 @@ __all__ = ["ThreadBackend"]
 
 
 class ThreadBackend(ExecutionBackend):
-    """Fan units across an in-process thread pool."""
+    """Fan cells across an in-process thread pool."""
 
     name = "thread"
 
@@ -38,24 +37,18 @@ class ThreadBackend(ExecutionBackend):
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
     ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
-        from repro.engine.executor import execute_unit_instrumented
+        from repro.engine.executor import cells, execute_cell
 
-        pending = list(pending)
-        if not pending:
+        tasks = list(cells(pending))
+        if not tasks:
             return
         # Note: worker threads see the executor's process-wide telemetry
-        # switch, not its contextvars; each task installs its own span
-        # recorder, so units never share one.
+        # switch, not its contextvars; each unit installs its own span
+        # recorder, so units never share one.  One task is one cell, so
+        # a thread holds at most one cell's graph at a time.
         with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(pending))
+            max_workers=min(self.workers, len(tasks))
         ) as pool:
-            futures = {
-                pool.submit(execute_unit_instrumented, spec): index
-                for index, spec in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    record, telemetry = future.result()
-                    yield futures[future], record, telemetry
+            futures = [pool.submit(list, execute_cell(cell)) for cell in tasks]
+            for future in as_completed(futures):
+                yield from future.result()

@@ -2,11 +2,21 @@
 
 :func:`execute_unit` turns one :class:`~repro.engine.spec.JobSpec` into a
 :class:`~repro.engine.records.ResultRecord`; :func:`run_units` maps a
-whole grid, serving already-computed cells from the content-addressed
+whole grid, serving already-computed units from the content-addressed
 cache and handing the rest to an execution backend
 (:mod:`repro.engine.backends`): inline serial, a thread pool, a
 ``multiprocessing`` fan-out, or the self-calibrating ``"auto"`` default
 that probes per-unit cost before committing to pool startup.
+
+The backends' unit of work is the *cell*: the units that share one
+:class:`~repro.engine.spec.GraphSpec` (a sweep's algorithms on one
+graph).  :func:`run_units` orders its cache misses so each cell's units
+are adjacent, and :func:`execute_cell` builds the cell's graph once,
+runs every unit on it, and drops it before the next cell is built.  A
+graph is a pure function of its spec, and the graph's derived tables
+(compiled arrays, blossom matching, exact optimum) are memoised on it,
+so sharing changes wall time only: records and cache entries stay one
+per unit.
 
 Determinism contract: a record depends only on its spec — never on the
 backend, worker count, execution order, or wall clock — so
@@ -16,15 +26,18 @@ byte-identical results.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from repro.engine.backends.base import ExecutionBackend, resolve_backend
 from repro.engine.cache import GcReport, ResultCache, cache_key
+from repro.engine.measures import build_graph, default_execute
 from repro.engine.records import ResultRecord, ResultStore
-from repro.engine.spec import JobSpec
+from repro.engine.spec import GraphSpec, JobSpec
 from repro.obs.memory import set_memory_collection
 from repro.obs.session import TelemetrySession, current_session
 from repro.obs.spans import (
@@ -34,11 +47,13 @@ from repro.obs.spans import (
     set_collection,
     span,
 )
-from repro.registry.measures import get_measure
+from repro.registry.measures import Measure, get_measure
 
 __all__ = [
     "ExecutionReport",
     "ProgressPrinter",
+    "cells",
+    "execute_cell",
     "execute_unit",
     "execute_unit_instrumented",
     "run_units",
@@ -46,12 +61,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Single-unit execution
+# Unit and cell execution
 # ---------------------------------------------------------------------------
 
 
 def execute_unit(spec: JobSpec) -> ResultRecord:
-    """Execute one work unit (in-process; used directly by backends).
+    """Execute one work unit in-process, without telemetry.
 
     Dispatches to the unit's registered measure
     (:mod:`repro.registry.measures`); the content address doubles as the
@@ -70,25 +85,65 @@ def execute_unit_instrumented(
     The record is bit-for-bit the one :func:`execute_unit` produces —
     telemetry travels *next to* it, never inside it, so cached bytes are
     unaffected.  Returns ``(record, None)`` when collection is off (the
-    common case; the extra cost is one flag check).
+    common case; the extra cost is one flag check).  This is a cell of
+    one unit, so it builds its own graph.
     """
-    if not collection_enabled():
-        return execute_unit(spec), None
-    started = time.perf_counter()
-    with recording() as rec:
-        with span("resolve", measure=spec.measure):
-            key = cache_key(spec)
-            measure = get_measure(spec.measure)
-        record = measure.execute(spec, key)
-    wall_s = time.perf_counter() - started
-    return record, UnitTelemetry.from_recorder(
-        rec,
-        key=key,
-        algorithm=spec.algorithm,
-        label=spec.graph.label(),
-        measure=spec.measure,
-        wall_s=wall_s,
-    )
+    ((_, record, telemetry),) = execute_cell([(0, spec)])
+    return record, telemetry
+
+
+def cells(
+    pending: Iterable[tuple[int, JobSpec]],
+) -> Iterator[list[tuple[int, JobSpec]]]:
+    """Split *pending* into cells: runs of adjacent units on one graph.
+
+    :func:`run_units` orders its cache misses so that every cell is a
+    single run; units handed over in another order still execute
+    correctly, with less sharing.
+    """
+    for _, cell in itertools.groupby(pending, key=lambda item: item[1].graph):
+        yield list(cell)
+
+
+def execute_cell(
+    cell: Iterable[tuple[int, JobSpec]],
+) -> Iterator[tuple[int, ResultRecord, UnitTelemetry | None]]:
+    """Execute one cell's units in order, building their graph once.
+
+    Yields ``(index, record, telemetry)`` per unit, like a backend.  The
+    first unit on the shared pipeline builds the graph, so its wall time
+    and telemetry carry the build; every later unit reuses it and counts
+    ``graph_build.shared``.  Measures that override
+    :meth:`~repro.registry.measures.Measure.execute` build their own
+    graph.  The graph is released when the generator finishes (or is
+    closed), before the caller builds the next cell's.
+    """
+    graph = None
+    for index, spec in cell:
+        started = time.perf_counter()
+        with (recording() if collection_enabled() else nullcontext()) as rec:
+            with span("resolve", measure=spec.measure):
+                key = cache_key(spec)
+                measure = get_measure(spec.measure)
+            if type(measure).execute is not Measure.execute:
+                record = measure.execute(spec, key)
+            else:
+                if graph is None:
+                    graph = build_graph(spec.graph)
+                elif rec is not None:
+                    rec.count("graph_build.shared")
+                record = default_execute(measure, spec, key, graph)
+        telemetry = None
+        if rec is not None:
+            telemetry = UnitTelemetry.from_recorder(
+                rec,
+                key=key,
+                algorithm=spec.algorithm,
+                label=spec.graph.label(),
+                measure=spec.measure,
+                wall_s=time.perf_counter() - started,
+            )
+        yield index, record, telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +282,12 @@ def run_units(
                 records[index] = cached
     hits = len(records)
     missing = [i for i in range(len(units)) if i not in records]
+    # One cell per graph: a stable sort by each graph's first appearance
+    # makes every cell adjacent and keeps submission order inside it.
+    first_seen: dict[GraphSpec, int] = {}
+    for i in missing:
+        first_seen.setdefault(units[i].graph, len(first_seen))
+    missing.sort(key=lambda i: first_seen[units[i].graph])
     done = hits
     if progress is not None:
         progress(done, hits)

@@ -39,7 +39,7 @@ from repro.eds.bounds import eds_lower_bound, eds_lower_bound_from_nu
 from repro.eds.exact import minimum_eds_size
 from repro.eds.properties import is_edge_dominating_set
 from repro.engine.records import ResultRecord
-from repro.engine.spec import JobSpec, derive_seed
+from repro.engine.spec import GraphSpec, JobSpec, derive_seed
 from repro.exceptions import AlgorithmContractError
 from repro.lowerbounds.adversary import run_adversary
 from repro.lowerbounds.instance import LowerBoundInstance
@@ -56,6 +56,7 @@ __all__ = [
     "PhaseSplitMeasure",
     "QualityMeasure",
     "ThreadedComparisonMeasure",
+    "build_graph",
     "default_execute",
     "unit_rng_seed",
 ]
@@ -80,28 +81,23 @@ def resolve_unit_algorithm(spec: JobSpec, key: str) -> BoundAlgorithm:
     )
 
 
-def default_execute(measure: Measure, spec: JobSpec, key: str) -> ResultRecord:
-    """The shared pipeline: build, run, measure, assemble the record.
+def build_graph(spec: GraphSpec) -> PortNumberedGraph | LowerBoundInstance:
+    """Build a unit's graph under the ``graph_build`` span.
 
-    Each stage runs under a telemetry span (no-ops when telemetry is
-    off): ``graph_build``, ``resolve``, ``simulate`` (the runtime
-    annotates it with the engine name and round count), ``feasibility``
-    and ``measure:<name>`` — with the optimum computation nested inside
-    the measure span as its own ``optimum`` child.
+    ``graph_build`` keeps only coordination self-time: the generator
+    runs under the ``graph_build:generate`` child, and the lowering
+    steps triggered later (``graph_build:compile`` in
+    ``PortNumberedGraph.compiled``, ``graph_build:vector_view`` in
+    ``CompiledGraph.vector``) record themselves wherever they fire, so
+    the phase table pins exactly which build stage dominates.  On the
+    direct-to-CSR path the generator emits compiled arrays itself, so
+    ``generate`` covers the array synthesis and ``compile`` never
+    fires; the span is tagged ``direct`` so the report can tell the
+    two shapes apart, and the build counters feed the edges/s line.
     """
-    # ``graph_build`` keeps only coordination self-time: the generator
-    # runs under the ``graph_build:generate`` child, and the lowering
-    # steps triggered later (``graph_build:compile`` in
-    # ``PortNumberedGraph.compiled``, ``graph_build:vector_view`` in
-    # ``CompiledGraph.vector``) record themselves wherever they fire, so
-    # the phase table pins exactly which build stage dominates.  On the
-    # direct-to-CSR path the generator emits compiled arrays itself, so
-    # ``generate`` covers the array synthesis and ``compile`` never
-    # fires; the span is tagged ``direct`` so the report can tell the
-    # two shapes apart, and the build counters feed the edges/s line.
-    with span("graph_build", family=spec.graph.family) as build:
+    with span("graph_build", family=spec.family) as build:
         with span("graph_build:generate"):
-            graph = spec.graph.build()
+            graph = spec.build()
         if build is not None:
             build.attrs["direct"] = (
                 getattr(graph, "_compiled", None) is not None
@@ -110,6 +106,30 @@ def default_execute(measure: Measure, spec: JobSpec, key: str) -> ResultRecord:
         if recorder is not None and isinstance(graph, PortNumberedGraph):
             recorder.count("graph_build.graphs")
             recorder.count("graph_build.edges", graph.num_edges)
+    return graph
+
+
+def default_execute(
+    measure: Measure,
+    spec: JobSpec,
+    key: str,
+    graph: PortNumberedGraph | LowerBoundInstance | None = None,
+) -> ResultRecord:
+    """The shared pipeline: build, run, measure, assemble the record.
+
+    Each stage runs under a telemetry span (no-ops when telemetry is
+    off): ``graph_build`` (see :func:`build_graph`), ``resolve``,
+    ``simulate`` (the runtime annotates it with the engine name and
+    round count), ``feasibility`` and ``measure:<name>`` — with the
+    optimum computation nested inside the measure span as its own
+    ``optimum`` child.
+
+    *graph* is the unit's graph when its cell already built it
+    (:func:`~repro.engine.executor.execute_cell`); without one the unit
+    builds its own.
+    """
+    if graph is None:
+        graph = build_graph(spec.graph)
     if not isinstance(graph, PortNumberedGraph):
         raise AlgorithmContractError(
             f"measure {measure.name!r} needs a plain graph family, got "

@@ -63,7 +63,7 @@ SCENARIOS: dict[str, SweepGrid] = {
     # (``optimum="none"``): at this scale the object of study is
     # rounds/sizes/memory per degree (E24); pass ``--optimum
     # dual_bound`` for certified intervals when you can afford the
-    # ν-sandwich at 4·10^6 edges.  Run with ``--engine vector``.
+    # ν-sandwich at 4·10^6 edges.
     "huge-regular": SweepGrid(
         name="huge-regular",
         algorithms=("port_one", "regular_odd", "bounded_degree"),

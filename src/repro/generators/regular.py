@@ -58,6 +58,9 @@ def random_regular(
             f"no d-regular graph with d={d}, n={n} (need n > d, n*d even)"
         )
     graph = nx.random_regular_graph(d, n, seed=seed)
+    if numbering is None:
+        # networkx only draws the edges; the ports go straight to CSR.
+        return from_neighbour_lists([graph.adj[v] for v in range(n)], seed)
     return _convert(graph, numbering, seed)
 
 

@@ -161,6 +161,9 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
         )
     built = m.counter("graph_build.graphs")
     if built:
+        # Units of one cell share its graph: the first builds it, the
+        # rest count ``graph_build.shared``.
+        units = built + m.counter("graph_build.shared")
         edges = m.counter("graph_build.edges")
         build_s = sum(
             m.summary(name)["total"]
@@ -168,8 +171,8 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
         )
         per_s = f", {edges / build_s:,.0f} edges/s" if build_s else ""
         lines.append(
-            f"graph build: {built:g} graph(s), {int(edges):,} edge(s) in "
-            f"{_fmt_s(build_s)}{per_s}"
+            f"graph build: {built:g} graph(s) for {units:g} unit(s), "
+            f"{int(edges):,} edge(s) in {_fmt_s(build_s)}{per_s}"
         )
     sandwiches = m.counter("optimum.sandwich")
     if sandwiches:

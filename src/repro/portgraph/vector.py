@@ -58,6 +58,7 @@ class VectorGraph:
         "peer_node",
         "peer_local",
         "all_ports",
+        "_nonempty",
         "_starts",
     )
 
@@ -77,25 +78,24 @@ class VectorGraph:
         self.local = self.all_ports - self.offsets[self.port_node] + 1
         self.peer_node = self.port_node[self.mate]
         self.peer_local = self.local[self.mate]
-        # reduceat segment starts, clipped so empty trailing segments
-        # stay in bounds (their results are masked out by callers).
-        if total:
-            self._starts = np.minimum(self.offsets[:-1], total - 1)
-        else:
-            self._starts = None
+        # reduceat segment starts of the non-empty nodes only: they are
+        # strictly increasing, so each segment ends exactly where the
+        # next non-empty node's ports begin.
+        self._nonempty = self.degrees > 0
+        self._starts = self.offsets[:-1][self._nonempty]
 
     def segment_min(self, values, empty: int = _INT64_MAX):
         """Per-node minimum of a per-port int64 array.
 
         ``values[offsets[k]:offsets[k+1]].min()`` for every node, with
         *empty* filled in for degree-0 nodes (``reduceat`` has no empty
-        -segment semantics, so their slots are overwritten).
+        -segment semantics, so only non-empty segments are reduced).
         """
-        if self._starts is None:
-            return np.full(self.num_nodes, empty, dtype=np.int64)
-        out = np.minimum.reduceat(values, self._starts)
-        if (self.degrees == 0).any():
-            out = np.where(self.degrees == 0, empty, out)
+        if len(self._starts) == self.num_nodes:
+            return np.minimum.reduceat(values, self._starts)
+        out = np.full(self.num_nodes, empty, dtype=np.int64)
+        if self.num_ports:
+            out[self._nonempty] = np.minimum.reduceat(values, self._starts)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

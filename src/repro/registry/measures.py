@@ -108,7 +108,11 @@ class Measure:
         return {}
 
     def execute(self, spec: "JobSpec", key: str) -> "ResultRecord":
-        """Execute one work unit end to end (default shared pipeline)."""
+        """Execute one work unit end to end (default shared pipeline).
+
+        The executor runs non-overriding measures on the graph their
+        cell already built; an override builds its own.
+        """
         from repro.engine.measures import default_execute
 
         return default_execute(self, spec, key)

@@ -1,8 +1,9 @@
 """Differential tests for the direct-to-CSR construction path.
 
 The structured families (`cycle`, `complete`, `complete_bipartite`,
-`hypercube`, `torus`, `path`, `grid`) build compiled arrays directly
-when no explicit numbering is requested.  That fast path must be
+`hypercube`, `torus`, `path`, `grid`) and the networkx-drawn
+`random_regular` build compiled arrays directly when no explicit
+numbering is requested.  That fast path must be
 **byte-identical** to the historical networkx route: same node order,
 same port assignment, same canonical edge order, same compiled arrays,
 same cache keys and record bytes.  These tests pin that contract, plus
@@ -32,6 +33,7 @@ from repro.generators.regular import (
     complete_bipartite,
     cycle,
     hypercube,
+    random_regular,
     torus,
 )
 from repro.portgraph.arrays import ArrayGraph
@@ -132,6 +134,19 @@ class TestStructuredFamilyByteIdentity:
         with pytest.raises(ConstructionError):
             path(0)
 
+    @pytest.mark.parametrize("d,n", [(3, 10), (4, 16), (5, 32), (8, 64)])
+    def test_random_regular_matches_networkx(self, d, n):
+        """networkx still draws the edges; only the ports skip the
+        ``from_networkx`` dict route."""
+        for seed in (0, 7, 12345):
+            direct = random_regular(d, n, seed=seed)
+            assert isinstance(direct, ArrayGraph)
+            reference = nx_forced(random_regular, (d, n), seed)
+            assert not isinstance(reference, ArrayGraph)
+            assert_graphs_byte_identical(
+                direct, reference, f"regular d={d} n={n} seed={seed}"
+            )
+
     def test_pickle_round_trip(self):
         direct = torus(3, 5, seed=9)
         clone = pickle.loads(pickle.dumps(direct))
@@ -159,6 +174,16 @@ class TestRecordAndKeyParity:
             graph=GraphSpec.make("torus", seed=11, rows=3, cols=3),
             measure="quality", optimum="auto", label="",
         ),
+        JobSpec(
+            algorithm="regular_odd",
+            graph=GraphSpec.make("regular", seed=5, d=3, n=10),
+            measure="quality", optimum="auto", label="",
+        ),
+        JobSpec(
+            algorithm="bounded_degree",
+            graph=GraphSpec.make("regular", seed=8, d=4, n=16),
+            measure="messages", optimum="none", label="",
+        ),
     ]
 
     def _nx_record(self, spec, monkeypatch):
@@ -170,12 +195,17 @@ class TestRecordAndKeyParity:
             "torus": lambda r, c, *, seed=None: nx_forced(
                 torus, (r, c), seed
             ),
+            "random_regular": lambda d, n, *, seed=0: nx_forced(
+                random_regular, (d, n), seed
+            ),
         }
         name = spec.graph.family
+        if name == "regular":
+            name = "random_regular"
         monkeypatch.setattr(builtins_mod, name, forced[name])
         return execute_unit(spec)
 
-    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("index", range(len(SPECS)))
     def test_records_byte_identical(self, index, monkeypatch):
         spec = self.SPECS[index]
         direct_record = execute_unit(spec)

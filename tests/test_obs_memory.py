@@ -242,8 +242,11 @@ class TestResultPurity:
 
 class TestGraphBuildSubPhases:
     def test_generate_and_compile_are_separate_phases(self):
+        # ``bounded`` graphs still take the networkx route, whose
+        # lowering to arrays runs as its own ``compile`` step.
+        bounded = GRID.override(family="bounded").expand()[:2]
         with telemetry() as session:
-            api.run_sweep(units()[:2], cache=None, backend="inline")
+            api.run_sweep(bounded, cache=None, backend="inline")
         phases = session.phase_names()
         assert "graph_build" in phases
         assert "graph_build:generate" in phases

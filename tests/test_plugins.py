@@ -243,13 +243,14 @@ class TestEngineIntegration:
         unit = JobSpec("plug_worker", GraphSpec.make("cycle", n=6))
         modules = _plugin_modules([unit])
         assert modules == ("eds_wrk_plugin",)
-        payload = (0, unit.to_json_dict(), modules, False, False)
+        # One task is one cell: a list of (index, spec dict) pairs.
+        payload = ([(0, unit.to_json_dict())], modules, False, False)
 
         # Simulate the spawn worker's fresh interpreter: the plugin's
         # registration and module are gone, only the payload remains.
         ALGORITHMS.unregister("plug_worker")
         sys.modules.pop("eds_wrk_plugin")
-        index, record, telemetry = _worker(payload)
+        ((index, record, telemetry),) = _worker(payload)
         assert index == 0
         assert telemetry is None  # collection was off in the payload
         assert record["solution_size"] == 6

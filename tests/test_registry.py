@@ -388,13 +388,14 @@ class TestWorkerPluginPropagation:
             unit = JobSpec("plug_all_edges", GraphSpec.make("cycle", n=6))
             modules = _plugin_modules([unit])
             assert modules == ("eds_plugin_mod",)
-            payload = (0, unit.to_json_dict(), modules, False, False)
+            # One task is one cell: a list of (index, spec dict) pairs.
+            payload = ([(0, unit.to_json_dict())], modules, False, False)
 
             # simulate a spawn worker: fresh interpreter = no plugin
             ALGORITHMS.unregister("plug_all_edges")
             sys.modules.pop("eds_plugin_mod")
 
-            index, record, telemetry = _worker(payload)
+            ((index, record, telemetry),) = _worker(payload)
             assert index == 0
             assert record["solution_size"] == 6
             assert telemetry is None

@@ -156,6 +156,17 @@ class TestEdgeCases:
         builder.connect("u", 1, "v", 1)
         return builder.build()
 
+    def _isolated_after_hub(self):
+        # The last node with ports has degree 3, then isolated nodes:
+        # a per-node reduction must still see all three of its ports,
+        # and the last one leads to the smallest identifier.
+        builder = PortGraphBuilder()
+        builder.add_nodes({"a": 1, "b": 1, "c": 1, "h": 3, "w": 0, "x": 0})
+        builder.connect("h", 1, "c", 1)
+        builder.connect("h", 2, "b", 1)
+        builder.connect("h", 3, "a", 1)
+        return builder.build()
+
     def _empty(self):
         builder = PortGraphBuilder()
         builder.add_nodes({"x": 0, "y": 0})
@@ -169,6 +180,7 @@ class TestEdgeCases:
             ("multigraph", self._multigraph()),
             ("parallel", self._parallel_edges()),
             ("isolated", self._with_isolated()),
+            ("isolated after hub", self._isolated_after_hub()),
             ("empty", self._empty()),
         ):
             reference = traced_run(name, graph, "legacy")

@@ -119,6 +119,55 @@ class TestVectorGraphView:
         out = vg.segment_min(values, empty=99)
         assert list(out) == [5, 3, 99]
 
+    @pytest.mark.parametrize(
+        "degrees",
+        [
+            # trailing isolated nodes after a node of degree >= 2
+            {"a": 1, "b": 1, "c": 2, "w": 0, "x": 0},
+            {"a": 1, "b": 1, "c": 1, "d": 3, "z": 0},
+            # isolated nodes in the middle and at both ends
+            {"a": 0, "b": 2, "c": 0, "d": 2, "e": 0, "f": 0},
+        ],
+    )
+    def test_segment_min_matches_per_node_loop(self, degrees):
+        """Every port counts, whatever degree-0 nodes follow it."""
+        import numpy as np
+
+        builder = PortGraphBuilder()
+        builder.add_nodes(degrees)
+        free = [(v, i) for v, d in degrees.items() for i in range(1, d + 1)]
+        half = len(free) // 2
+        for (u, i), (v, j) in zip(free[:half], reversed(free[half:])):
+            builder.connect(u, i, v, j)
+        vg = builder.build().compiled().vector()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            values = rng.integers(0, 100, vg.num_ports, dtype=np.int64)
+            expected = [
+                min(values[vg.offsets[k]:vg.offsets[k + 1]], default=-1)
+                for k in range(vg.num_nodes)
+            ]
+            assert list(vg.segment_min(values, empty=-1)) == expected
+
+
+class TestBoundedMixedAgreesWithCompiled:
+    def test_bounded_mixed_records_identical(self):
+        """The ``bounded-mixed`` grid has graphs that end in isolated
+        nodes; the vector kernels must match the compiled loop on all of
+        them (``optimum`` is engine-independent, so it is left off)."""
+        from repro.engine import run_units
+        from repro.engine.scenarios import get_scenario
+
+        units = get_scenario("bounded-mixed").override(
+            algorithms=("bounded_degree", "ids_greedy"), optimum="none"
+        ).expand()
+        records = {}
+        for engine in ("vector", "compiled"):
+            with use_engine(engine):
+                report = run_units(units, backend="inline")
+            records[engine] = [r.canonical() for r in report.records]
+        assert records["vector"] == records["compiled"]
+
 
 class TestLazyTraces:
     def test_trace_only_materialised_on_request(self):

@@ -210,7 +210,8 @@ class TestInstrumentedExecution:
             run_units(units(), backend=backend, workers=2)
         for name in ("runtime.runs", "runtime.rounds",
                      "runtime.messages.delivered",
-                     "runtime.messages.dropped", "units.computed"):
+                     "runtime.messages.dropped", "units.computed",
+                     "graph_build.graphs", "graph_build.shared"):
             assert session.metrics.counter(name) == (
                 inline_session.metrics.counter(name)
             ), name
@@ -260,6 +261,30 @@ class TestInstrumentedExecution:
         report = run_units(units()[:1])
         assert report.wall_time_s > 0.0
         assert report.telemetry is None
+
+    def test_graph_sharing_counted_and_reported(self):
+        """Each cell's first unit builds the graph; the others count
+        ``graph_build.shared`` and carry no build span."""
+        from repro.obs import render_report
+
+        with telemetry() as session:
+            run_units(units(), backend="inline")
+        cells = len(list(GRID.cells()))
+        total = len(units())
+        assert cells < total
+        assert session.metrics.counter("graph_build.graphs") == cells
+        assert session.metrics.counter("graph_build.shared") == total - cells
+        builders = [
+            u for u in session.units if "graph_build" in u.phase_self_times()
+        ]
+        assert len(builders) == cells
+        for unit in session.units:
+            shared = unit.counters.get("graph_build.shared", 0)
+            assert shared == (0 if unit in builders else 1)
+        assert (
+            f"graph build: {cells} graph(s) for {total} unit(s), "
+            in render_report(session)
+        )
 
 
 # ---------------------------------------------------------------------------
