@@ -1,22 +1,26 @@
 """The certified-bounds perf trajectory: ν-sandwich vs blossom.
 
-The bounds subsystem (PR 7) exists because the exact blossom matching
-made the ``optimum`` phase the wall at scale: ~2.4 s per n=4096 unit
-and minutes at n=16384 in E20.  This benchmark times the full certified
-pipeline — greedy-plus-augmentation primal, multiplicative-weights dual
-cover, and the exact-arithmetic certificate verification — against
-``networkx`` blossom on the same random regular instances, asserts the
-sandwich actually brackets the exact ν it replaces, and records the
-gap so the speedup is never quoted without its accuracy cost.
+The bounds subsystem exists because the exact blossom matching made the
+``optimum`` phase the wall at scale: ~2.4 s per n=4096 unit and minutes
+at n=16384 in E20.  This benchmark times the full certified pipeline —
+round-parallel greedy plus augmentation primal, multiplicative-weights
+dual cover, and the exact integer certificate verification, all over
+the compiled CSR arrays — against ``networkx`` blossom on the same
+random regular instances, asserts the sandwich actually brackets the
+exact ν it replaces, and records the gap next to the gap of the
+dict-based sandwich the array kernels replaced, so the speedup is never
+quoted without its accuracy cost.  Two ``pairing_regular`` rows (the
+``certified-bounds`` benchmark graph and four times it) time the
+sandwich alone at the sizes the engine runs it.
 
 Run as a script to emit the machine-readable trajectory artifact::
 
     PYTHONPATH=src python benchmarks/bench_bounds.py --out BENCH_bounds.json
 
-CI uploads the JSON as a build artifact; the committed copy records the
-container this PR was developed in.  The pytest entry points double as
-the perf gate (sandwich + verify ≥ 20× faster than blossom on a d=4
-n=4096 unit — measured ≥ 30×) and the soundness check at scale.
+CI uploads the JSON as a build artifact; the committed copy records a
+2-vCPU Linux VM.  The pytest entry points double as the perf gate
+(sandwich + verify ≥ 150× faster than blossom on a d=4 n=4096 unit) and
+the soundness check at scale.
 """
 
 from __future__ import annotations
@@ -32,30 +36,54 @@ from repro.registry.families import get_family
 from conftest import emit
 
 #: Representative cells: the ``xlarge-regular`` degrees at the two
-#: sizes E20/E21 care about.  Blossom is only timed where it finishes
-#: in seconds (n=4096); at n=16384 the sandwich runs alone and the row
-#: records the absolute cost of the certified interval at full scale.
+#: sizes E20/E21 care about, plus the ``certified-bounds`` benchmark
+#: graph (pairing_regular d=4 n=2^16) and four times it.  Blossom is
+#: only timed where it finishes in seconds (n=4096); elsewhere the
+#: sandwich runs alone and the row records the absolute cost of the
+#: certified interval at full scale.
 UNITS = (
-    {"d": 2, "n": 4096, "blossom": True},
-    {"d": 4, "n": 4096, "blossom": True},
-    {"d": 8, "n": 4096, "blossom": True},
-    {"d": 2, "n": 16384, "blossom": False},
-    {"d": 8, "n": 16384, "blossom": False},
+    {"family": "regular", "d": 2, "n": 4096, "blossom": True},
+    {"family": "regular", "d": 4, "n": 4096, "blossom": True},
+    {"family": "regular", "d": 8, "n": 4096, "blossom": True},
+    {"family": "regular", "d": 2, "n": 16384, "blossom": False},
+    {"family": "regular", "d": 8, "n": 16384, "blossom": False},
+    {"family": "pairing_regular", "d": 4, "n": 2**16, "blossom": False},
+    {"family": "pairing_regular", "d": 4, "n": 2**18, "blossom": False},
 )
+
+#: The ν gap of each row's graph under the dict-based sandwich the array
+#: kernels replaced (sequential greedy over a ``random.Random`` shuffle,
+#: seed 0; E21–E27), reported next to the current gap.
+DICT_SANDWICH_GAPS = {
+    ("regular", 2, 4096): 69,
+    ("regular", 4, 4096): 6,
+    ("regular", 8, 4096): 1,
+    ("regular", 2, 16384): 282,
+    ("regular", 8, 16384): 1,
+    ("pairing_regular", 4, 2**16): 111,
+    ("pairing_regular", 4, 2**18): 532,
+}
 
 REPS = 3
 
 
+def _label(unit) -> str:
+    return f"{unit['family']} d={unit['d']} n={unit['n']}"
+
+
 def _build(unit):
-    return get_family("regular").make({"d": unit["d"], "n": unit["n"]}, 1)
+    family = unit.get("family", "regular")
+    return get_family(family).make({"d": unit["d"], "n": unit["n"]}, 1)
 
 
 def _time_sandwich(graph) -> tuple[float, object]:
     """Best-of-REPS wall time of sandwich + certificate verification —
-    the full cost the engine pays per ``dual_bound`` unit."""
+    the full cost the engine pays per ``dual_bound`` cell.  The sandwich
+    is memoised on the compiled graph, so every rep drops it first."""
     best = float("inf")
     result = None
     for _ in range(REPS):
+        graph.compiled().memo.pop(("nu_sandwich", 0), None)
         started = time.perf_counter()
         result = nu_sandwich(graph, seed=0)
         verify_certificate(graph, result)
@@ -82,11 +110,15 @@ def measure_units() -> dict:
         graph = _build(unit)
         sandwich_s, result = _time_sandwich(graph)
         row = {
+            "family": unit["family"],
             "d": unit["d"],
             "n": unit["n"],
             "nu_lower": result.lower,
             "nu_upper": result.upper,
             "gap": result.gap,
+            "gap_dict_sandwich": DICT_SANDWICH_GAPS[
+                unit["family"], unit["d"], unit["n"]
+            ],
             "sandwich_s": round(sandwich_s, 6),
         }
         if unit["blossom"]:
@@ -107,6 +139,14 @@ def measure_units() -> dict:
             "max_sandwich_s_at_16384": max(
                 r["sandwich_s"] for r in rows if r["n"] == 16384
             ),
+            "sandwich_s_pairing_2^18": next(
+                r["sandwich_s"] for r in rows
+                if r["family"] == "pairing_regular" and r["n"] == 2**18
+            ),
+            "gap_total": sum(r["gap"] for r in rows),
+            "gap_total_dict_sandwich": sum(
+                r["gap_dict_sandwich"] for r in rows
+            ),
         },
     }
 
@@ -115,11 +155,11 @@ def format_table(payload: dict) -> str:
     lines = [
         "certified bounds: ν-sandwich + verify vs blossom (best of "
         f"{payload['reps_best_of']})",
-        f"{'unit':22s} {'sandwich':>9s} {'blossom':>9s} {'speedup':>8s} "
-        f"{'ν interval':>14s} {'gap':>5s}",
+        f"{'unit':32s} {'sandwich':>9s} {'blossom':>9s} {'speedup':>8s} "
+        f"{'ν interval':>18s} {'gap':>5s} {'dict':>5s}",
     ]
     for row in payload["units"]:
-        label = f"regular d={row['d']} n={row['n']}"
+        label = _label(row)
         blossom = (
             f"{row['blossom_s'] * 1000:7.1f}ms" if "blossom_s" in row
             else f"{'—':>9s}"
@@ -129,8 +169,9 @@ def format_table(payload: dict) -> str:
         )
         interval = f"[{row['nu_lower']}, {row['nu_upper']}]"
         lines.append(
-            f"{label:22s} {row['sandwich_s'] * 1000:7.1f}ms {blossom} "
-            f"{speedup} {interval:>14s} {row['gap']:5d}"
+            f"{label:32s} {row['sandwich_s'] * 1000:7.1f}ms {blossom} "
+            f"{speedup} {interval:>18s} {row['gap']:5d} "
+            f"{row['gap_dict_sandwich']:5d}"
         )
     summary = payload["summary"]
     lines.append(
@@ -146,10 +187,9 @@ def format_table(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def test_sandwich_beats_blossom_20x():
-    """CI gate: the ISSUE acceptance threshold on the d=4 n=4096 unit.
-    Measured ≥ 30× in the development container; 20× leaves headroom
-    for shared-runner noise."""
+def test_sandwich_beats_blossom_150x():
+    """CI gate on the d=4 n=4096 unit: the array sandwich plus its
+    verification against the blossom matching it replaces."""
     unit = {"d": 4, "n": 4096}
     graph = _build(unit)
     sandwich_s, result = _time_sandwich(graph)
@@ -160,7 +200,7 @@ def test_sandwich_beats_blossom_20x():
         f"{sandwich_s * 1000:.1f} ms, blossom={blossom_s * 1000:.1f} ms "
         f"({blossom_s / sandwich_s:.1f}x), gap={result.gap}"
     )
-    assert blossom_s / sandwich_s >= 20.0
+    assert blossom_s / sandwich_s >= 150.0
 
 
 def test_sandwich_under_5s_at_16384():
@@ -191,7 +231,7 @@ def ledger_entries(payload: dict):
     entries = []
     for engine, key in (("sandwich", "sandwich_s"), ("blossom", "blossom_s")):
         phases = {
-            f"regular d={row['d']} n={row['n']}": row[key]
+            _label(row): row[key]
             for row in payload["units"]
             if row.get(key) is not None
         }

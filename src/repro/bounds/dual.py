@@ -5,8 +5,8 @@ cover (``y_u + y_v >= 1`` on every edge, ``y >= 0``) then every matching
 charges at least 1 of cover mass per edge to distinct vertices, so
 ``ν <= Σy`` — and since ν is an integer, ``ν <= ⌊Σy⌋``.  The bound is
 *certified*: the cover itself is returned and
-:func:`repro.bounds.result.verify_certificate` re-checks feasibility
-edge by edge in exact arithmetic.
+:func:`repro.bounds.result.verify_certificate` re-checks feasibility on
+every edge in exact arithmetic.
 
 Two candidate covers are built and the smaller objective wins:
 
@@ -21,68 +21,70 @@ Two candidate covers are built and the smaller objective wins:
   two unmatched endpoints), with objective ``|M| + k/2 <= 2|M|`` where
   ``k`` counts the raised vertices — never worse than the classical
   ``ν <= 2|M|``, and much tighter when most of the graph is matched.
+
+Both are array arithmetic over ``graph.compiled().vector()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from repro.bounds.fractional import solve_covering_lp
-from repro.bounds.primal import primal_matching
+from repro.bounds.primal import lead_ports, primal_matching
 from repro.bounds.result import BoundResult, CoverCertificate
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, PortEdge
 
 __all__ = ["dual_bound", "fractional_vertex_cover", "matching_cover"]
 
+#: The MW start value: width-2 constraints reach 1 in two doublings.
+_MW_START = Fraction(1, 4)
 
-def _mw_cover(graph: PortNumberedGraph) -> CoverCertificate:
+
+def _mw_cover(vg) -> CoverCertificate:
     """The MW solve of the vertex cover LP (width-2 constraints)."""
-    nodes = [n for n in graph.nodes if graph.degree(n) > 0]
-    index = {n: i for i, n in enumerate(nodes)}
-    constraints = [(index[e.u], index[e.v]) for e in graph.edges]
-    values = solve_covering_lp(
-        len(nodes), constraints, start=Fraction(1, 4), phases=2
+    lead = lead_ports(vg)
+    constraints = np.stack((vg.port_node[lead], vg.peer_node[lead]), axis=1)
+    numerators = solve_covering_lp(
+        vg.num_nodes, constraints, start=_MW_START, phases=2
     )
-    return CoverCertificate(
-        values={n: values[i] for n, i in index.items()}
-    )
+    # Isolated vertices sit in no constraint: they need no cover mass.
+    numerators[vg.degrees == 0] = 0
+    return CoverCertificate(numerators, _MW_START.denominator)
 
 
 def matching_cover(
-    graph: PortNumberedGraph, matching: frozenset[PortEdge]
+    graph: PortNumberedGraph, matching: np.ndarray
 ) -> CoverCertificate:
-    """The cover induced by a *maximal* matching (see module docstring)."""
-    matched: set[Node] = set()
-    for e in matching:
-        matched.add(e.u)
-        matched.add(e.v)
-    raised: set[Node] = set()
-    for e in graph.edges:
-        in_u, in_v = e.u in matched, e.v in matched
-        if not in_u and not in_v:
-            raise CertificateError(
-                f"matching is not maximal: edge {e!r} is uncovered"
-            )
-        if in_u and not in_v:
-            raised.add(e.u)
-        elif in_v and not in_u:
-            raised.add(e.v)
-    half, one = Fraction(1, 2), Fraction(1)
-    return CoverCertificate(
-        values={n: (one if n in raised else half) for n in matched}
-    )
+    """The cover induced by a *maximal* matching, given as a bool port
+    mask (see module docstring); numerators over 2."""
+    vg = graph.compiled().vector()
+    matched = np.zeros(vg.num_nodes, dtype=bool)
+    matched[vg.port_node[matching]] = True
+    near = matched[vg.port_node]
+    far = matched[vg.peer_node]
+    uncovered = ~near & ~far
+    if uncovered.any():
+        v, i = graph.compiled().port(int(np.argmax(uncovered)))
+        raise CertificateError(
+            f"matching is not maximal: the edge at port {i} of {v!r} "
+            "is uncovered"
+        )
+    numerators = matched.astype(np.int64)
+    numerators[vg.port_node[near & ~far]] = 2
+    return CoverCertificate(numerators, 2)
 
 
 def fractional_vertex_cover(
     graph: PortNumberedGraph,
-    matching: frozenset[PortEdge] | None = None,
+    matching: np.ndarray | None = None,
 ) -> CoverCertificate:
     """The better of the two candidate covers (smaller ``⌊Σy⌋``; the
     matching cover wins ties — its values are the sparser set)."""
     graph.require_simple()
-    candidates = [_mw_cover(graph)]
+    candidates = [_mw_cover(graph.compiled().vector())]
     if matching is not None:
         candidates.append(matching_cover(graph, matching))
     return min(reversed(candidates), key=lambda c: c.bound)
@@ -91,7 +93,7 @@ def fractional_vertex_cover(
 def dual_bound(
     graph: PortNumberedGraph,
     *,
-    matching: frozenset[PortEdge] | None = None,
+    matching: np.ndarray | None = None,
     seed: int = 0,
 ) -> BoundResult:
     """The dual engine on its own: ``ν <= ⌊Σy⌋``, cover as certificate.

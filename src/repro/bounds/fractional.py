@@ -1,4 +1,4 @@
-"""Exact-arithmetic multiplicative-weights solver for covering LPs.
+"""Exact multiplicative-weights solver for covering LPs, as array doubling.
 
 One update rule, two clients.  The LP is the pure covering program
 
@@ -26,15 +26,17 @@ The two clients:
   cover LP (a variable per node, a two-variable constraint per edge) to
   extract a certified dual upper bound on ν.
 
-All arithmetic is :class:`~fractions.Fraction` — values are exact
-powers of two over the start denominator, so certificates derived from
-them verify exactly.
+The values are exact: powers of two times the start value, capped at 1,
+so they stay integer numerators over the start's denominator and every
+phase is a handful of int64 array operations on a constraint matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
@@ -53,41 +55,51 @@ def doubling_phases(delta: int) -> int:
 
 def solve_covering_lp(
     num_vars: int,
-    constraints: Sequence[Sequence[int]],
+    constraints: np.ndarray | Sequence[Sequence[int]],
     *,
     start: Fraction,
     phases: int,
-) -> list[Fraction]:
-    """Run the doubling schedule; returns the final variable values.
+) -> np.ndarray:
+    """Run the doubling schedule; returns the final values as int64
+    numerators over ``start.denominator``.
 
-    Each constraint is a sequence of variable indices whose sum must
-    reach 1.  The loop is phase-synchronous, exactly like the
-    distributed client: *all* violations of a phase are computed against
-    the same values before any variable doubles.  Phases with no
-    violated constraint change nothing, so stopping early is
-    value-identical to running all ``phases`` — the distributed client
-    always runs the full schedule for its closed-form round count.
+    *constraints* is an ``(m, w)`` integer array with one row of
+    variable indices per constraint, or a ragged sequence of index
+    sequences (padded to a matrix with a sentinel variable pinned at 0).
+    The loop is phase-synchronous, exactly like the distributed client:
+    *all* violations of a phase are computed against the same values
+    before any variable doubles.  Phases with no violated constraint
+    change nothing, so stopping early is value-identical to running all
+    ``phases`` — the distributed client always runs the full schedule
+    for its closed-form round count.
     """
-    # Internally the values are integer numerators over the fixed
-    # denominator of ``start``: doubling and capping at 1 never leave
-    # that lattice, so plain ``int`` arithmetic is exact and an order
-    # of magnitude faster than per-op Fraction normalisation.
     den = start.denominator
-    x = [start.numerator] * num_vars
+    rows = _constraint_matrix(num_vars, constraints)
+    # Index ``num_vars`` is the padding sentinel: it starts at 0 and is
+    # never doubled, so it adds nothing to any constraint sum.
+    x = np.full(num_vars + 1, start.numerator, dtype=np.int64)
+    x[num_vars] = 0
     for _ in range(phases):
-        doubled = [False] * num_vars
-        violated_any = False
-        for constraint in constraints:
-            if sum(x[i] for i in constraint) < den:
-                violated_any = True
-                for i in constraint:
-                    doubled[i] = True
-        if not violated_any:
+        violated = x[rows].sum(axis=1) < den
+        if not violated.any():
             break
-        for i, flag in enumerate(doubled):
-            if flag:
-                x[i] = min(den, 2 * x[i])
-    return [Fraction(num, den) for num in x]
+        doubled = np.zeros(num_vars + 1, dtype=bool)
+        doubled[rows[violated]] = True
+        doubled[num_vars] = False
+        x[doubled] = np.minimum(den, 2 * x[doubled])
+    return x[:num_vars]
+
+
+def _constraint_matrix(
+    num_vars: int, constraints: np.ndarray | Sequence[Sequence[int]]
+) -> np.ndarray:
+    if isinstance(constraints, np.ndarray):
+        return constraints.astype(np.int64, copy=False)
+    width = max((len(c) for c in constraints), default=0)
+    rows = np.full((len(constraints), width), num_vars, dtype=np.int64)
+    for r, members in enumerate(constraints):
+        rows[r, :len(members)] = members
+    return rows
 
 
 def line_graph_covering_instance(

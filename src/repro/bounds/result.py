@@ -5,34 +5,38 @@ Every bounds engine — primal (:mod:`repro.bounds.primal`), dual
 the same shape: a :class:`BoundResult` bracketing the maximum matching
 size ``ν(G)`` with ``lower <= ν <= upper`` and carrying the evidence as
 a *certificate*.  The certificates are self-contained mathematical
-objects, not solver state:
+objects, not solver state, and they are arrays over the graph's compiled
+form (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`):
 
-* :class:`MatchingCertificate` — a set of edges claimed to be a
-  matching; any valid matching proves ``ν >= |M|``, and a *maximal* one
-  additionally proves ``ν <= 2|M|`` (every matched edge of an optimum
+* :class:`MatchingCertificate` — a boolean mask over global ports (the
+  ``RunResult.selected`` idiom: an edge is selected when both of its
+  ports are); any valid matching proves ``ν >= |M|``, and a *maximal*
+  one additionally proves ``ν <= 2|M|`` (every edge of an optimum
   matching touches ``M``) and that ``M`` itself is a feasible EDS.
-* :class:`CoverCertificate` — a fractional vertex cover ``y``; weak LP
-  duality gives ``ν <= Σy``, and since ``ν`` is an integer,
-  ``ν <= ⌊Σy⌋``.
+* :class:`CoverCertificate` — a fractional vertex cover ``y`` as int64
+  numerators per node index over one denominator; weak LP duality gives
+  ``ν <= Σy``, and since ``ν`` is an integer, ``ν <= ⌊Σy⌋``.
 * :class:`SandwichCertificate` — both at once, the output of
   :func:`repro.bounds.nu_sandwich`.
 
 :func:`verify_certificate` re-derives the claimed bounds from the
-certificate alone, edge by edge, entirely in ``int``/:class:`~fractions.
-Fraction` arithmetic — no floats, no trust in the engine that produced
-the result.  A bound that passes is *proven* for the given graph.
+certificate alone in exact integer arithmetic — int64 array operations
+behind an explicit overflow guard that falls back to Python ints, never
+floats, and no trust in the engine that produced the result.  A bound
+that passes is *proven* for the given graph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from functools import cached_property
+from typing import Union
+
+import numpy as np
 
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, PortEdge
 
 __all__ = [
     "BoundResult",
@@ -42,43 +46,93 @@ __all__ = [
     "verify_certificate",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-@dataclass(frozen=True)
+#: Overflow guard of the feasibility check: two numerators at or below
+#: this value add without leaving int64.
+_PAIR_SAFE = _INT64_MAX // 2
+
+
+def _require_exact(numerators: np.ndarray, denominator: int) -> None:
+    """Integer numerators over a positive integer denominator, or raise."""
+    dtype = getattr(numerators, "dtype", np.dtype(object))
+    if not (
+        np.issubdtype(dtype, np.integer)
+        and isinstance(denominator, (int, np.integer))
+    ):
+        raise CertificateError(
+            f"cover values are {dtype} over a "
+            f"{type(denominator).__name__} denominator, not exact arithmetic"
+        )
+    if denominator <= 0:
+        raise CertificateError(
+            f"cover denominator must be positive, got {denominator}"
+        )
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """``Σ values`` as a Python int: int64 while it provably cannot
+    overflow, Python ints otherwise."""
+    if not values.size:
+        return 0
+    peak = max(abs(int(values.max())), abs(int(values.min())))
+    if peak <= _INT64_MAX // values.size:
+        return int(values.sum(dtype=np.int64))
+    return sum(values.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class MatchingCertificate:
     """A matching ``M`` in the host graph; proves ``ν >= |M|``.
 
-    With ``maximal=True`` the certificate additionally claims no edge of
-    the graph has both endpoints unmatched, which proves ``ν <= 2|M|``
-    and makes ``M`` a feasible edge dominating set.
+    ``selected`` is a bool mask over the global ports of
+    ``graph.compiled()``; a valid certificate is closed under ``mate``,
+    so ``|M|`` is half its popcount.  With ``maximal=True`` the
+    certificate additionally claims no edge of the graph has both
+    endpoints unmatched, which proves ``ν <= 2|M|`` and makes ``M`` a
+    feasible edge dominating set.
     """
 
-    edges: frozenset[PortEdge]
+    selected: np.ndarray
     maximal: bool = False
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.selected)) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchingCertificate):
+            return NotImplemented
+        return self.maximal == other.maximal and bool(
+            np.array_equal(self.selected, other.selected)
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverCertificate:
     """A fractional vertex cover ``y``; proves ``ν <= ⌊Σy⌋``.
 
-    ``values`` is sparse: nodes not present carry ``y = 0``.  Feasibility
-    means ``y_u + y_v >= 1`` for every edge ``{u, v}``.
+    ``y[k] = numerators[k] / denominator`` for node index ``k`` of
+    ``graph.compiled()``.  Feasibility means ``y_u + y_v >= 1`` for
+    every edge ``{u, v}``.
     """
 
-    values: Mapping[Node, Fraction]
+    numerators: np.ndarray
+    denominator: int
 
-    @property
-    def objective(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
-
-    @property
+    @cached_property
     def bound(self) -> int:
-        """``⌊Σy⌋`` — the certified integer upper bound on ν."""
-        total = self.objective
-        return total.numerator // total.denominator
+        """``⌊Σy⌋`` — the certified integer upper bound on ν (computed
+        on first read, then cached)."""
+        _require_exact(self.numerators, self.denominator)
+        return _exact_sum(self.numerators) // int(self.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverCertificate):
+            return NotImplemented
+        return self.denominator == other.denominator and bool(
+            np.array_equal(self.numerators, other.numerators)
+        )
 
 
 @dataclass(frozen=True)
@@ -114,67 +168,95 @@ class BoundResult:
         return self.upper - self.lower
 
 
-def _check_matching(
-    graph: PortNumberedGraph, cert: MatchingCertificate
-) -> int:
+def _edge_name(cg, g: int) -> str:
+    (u, i), (v, j) = cg.port(g), cg.port(cg.mate[g])
+    return f"{u!r}:{i}–{v!r}:{j}"
+
+
+def _check_matching(cg, cert: MatchingCertificate) -> int:
     """Re-prove the matching certificate; returns the certified ``|M|``."""
-    graph_edges = set(graph.edges)
-    matched: set[Node] = set()
-    for e in cert.edges:
-        if e not in graph_edges:
-            raise CertificateError(
-                f"matching certificate contains non-edge {e!r}"
-            )
-        if e.is_loop:
-            raise CertificateError(
-                f"matching certificate contains loop {e!r}"
-            )
-        if e.u in matched or e.v in matched:
-            raise CertificateError(
-                f"matching certificate is not a matching at {e!r}"
-            )
-        matched.add(e.u)
-        matched.add(e.v)
+    vg = cg.vector()
+    selected = cert.selected
+    if (
+        not isinstance(selected, np.ndarray)
+        or selected.dtype != np.bool_
+        or selected.shape != (vg.num_ports,)
+    ):
+        shape = getattr(selected, "shape", None)
+        raise CertificateError(
+            f"matching certificate must be a bool mask over the graph's "
+            f"{vg.num_ports} ports, got {getattr(selected, 'dtype', None)} "
+            f"of shape {shape}"
+        )
+    ports = np.flatnonzero(selected)
+    one_sided = ~selected[vg.mate[ports]]
+    if one_sided.any():
+        g = int(ports[np.argmax(one_sided)])
+        raise CertificateError(
+            f"matching mask is not closed under mate at edge "
+            f"{_edge_name(cg, g)}"
+        )
+    owners = vg.port_node[ports]
+    loops = vg.peer_node[ports] == owners
+    if loops.any():
+        g = int(ports[np.argmax(loops)])
+        raise CertificateError(
+            f"matching certificate contains loop {_edge_name(cg, g)}"
+        )
+    counts = np.bincount(owners, minlength=vg.num_nodes)
+    if ports.size and counts.max() > 1:
+        node = cg.nodes[int(np.argmax(counts))]
+        raise CertificateError(
+            f"matching certificate is not a matching at node {node!r}"
+        )
     if cert.maximal:
-        for e in graph.edges:
-            if e.u not in matched and e.v not in matched:
-                raise CertificateError(
-                    f"matching certificate claims maximality but misses "
-                    f"edge {e!r}"
-                )
-    return len(cert.edges)
+        matched = counts > 0
+        missed = ~matched[vg.port_node] & ~matched[vg.peer_node]
+        if missed.any():
+            raise CertificateError(
+                f"matching certificate claims maximality but misses "
+                f"edge {_edge_name(cg, int(np.argmax(missed)))}"
+            )
+    return int(ports.size) // 2
 
 
-def _check_cover(graph: PortNumberedGraph, cert: CoverCertificate) -> int:
+def _check_cover(cg, cert: CoverCertificate) -> int:
     """Re-prove the cover certificate; returns the certified ``⌊Σy⌋``.
 
-    The per-edge feasibility scan runs on integer numerators over the
-    least common denominator of the cover values — exact arithmetic
-    (every comparison is the Fraction comparison, cross-multiplied once
-    up front) without a Fraction normalisation per edge.
+    Feasibility compares ``num[u] + num[v]`` with the denominator on
+    every edge: int64 array arithmetic while no numerator exceeds
+    :data:`_PAIR_SAFE`, the same comparison over Python ints otherwise.
     """
-    lcd = 1
-    for node, value in cert.values.items():
-        if not isinstance(value, (int, Fraction)):
+    vg = cg.vector()
+    num, den = cert.numerators, cert.denominator
+    _require_exact(num, den)
+    den = int(den)
+    if num.shape != (vg.num_nodes,):
+        raise CertificateError(
+            f"cover certificate must hold one numerator per node "
+            f"({vg.num_nodes}), got shape {num.shape}"
+        )
+    if num.size and int(num.min()) < 0:
+        k = int(np.argmin(num))
+        raise CertificateError(
+            f"cover value at {cg.nodes[k]!r} is negative: "
+            f"{Fraction(int(num[k]), den)}"
+        )
+    if vg.num_ports:
+        if int(num.max()) <= _PAIR_SAFE and den <= _INT64_MAX:
+            values = num.astype(np.int64, copy=False)
+        else:
+            values = np.array(num.tolist(), dtype=object)
+        short = (values[vg.port_node] + values[vg.peer_node]) < den
+        if short.any():
+            g = int(np.argmax(short))
+            a = Fraction(int(num[vg.port_node[g]]), den)
+            b = Fraction(int(num[vg.peer_node[g]]), den)
             raise CertificateError(
-                f"cover value at {node!r} is {type(value).__name__}, "
-                "not exact arithmetic"
+                f"cover certificate is infeasible at edge "
+                f"{_edge_name(cg, g)}: {a} + {b} < 1"
             )
-        if value < 0:
-            raise CertificateError(
-                f"cover value at {node!r} is negative: {value}"
-            )
-        lcd = math.lcm(lcd, Fraction(value).denominator)
-    scaled = {
-        node: int(value * lcd) for node, value in cert.values.items()
-    }
-    for e in graph.edges:
-        if scaled.get(e.u, 0) + scaled.get(e.v, 0) < lcd:
-            raise CertificateError(
-                f"cover certificate is infeasible at edge {e!r}: "
-                f"{cert.values.get(e.u, 0)} + {cert.values.get(e.v, 0)} < 1"
-            )
-    return cert.bound
+    return _exact_sum(num) // den
 
 
 def verify_certificate(
@@ -182,13 +264,14 @@ def verify_certificate(
 ) -> bool:
     """Re-prove *result*'s bounds from its certificate alone.
 
-    Checks, in exact ``int``/``Fraction`` arithmetic:
+    Checks, in exact integer arithmetic over the compiled arrays:
 
-    * the matching part (if any) is a matching of the graph, maximal
+    * the matching part (if any) is a mask of real, non-loop edges
+      (closed under ``mate``) with pairwise disjoint endpoints, maximal
       when claimed, and certifies ``ν >= result.lower``;
-    * the cover part (if any) is a feasible fractional vertex cover and
-      certifies ``ν <= result.upper`` (a maximal matching's ``2|M|``
-      also counts as a certified upper bound);
+    * the cover part (if any) has non-negative exact values, is feasible
+      on every edge and certifies ``ν <= result.upper`` (a maximal
+      matching's ``2|M|`` also counts as a certified upper bound);
     * ``lower <= upper``, and ``exact`` results have ``lower == upper``.
 
     Returns ``True`` on success; raises :class:`~repro.exceptions.
@@ -220,35 +303,30 @@ def verify_certificate(
             f"{result.upper - result.lower}"
         )
 
+    cg = graph.compiled()
+    size = _check_matching(cg, matching) if matching is not None else None
     if result.lower > 0:
-        if matching is None:
+        if size is None:
             raise CertificateError(
                 f"lower bound {result.lower} has no matching certificate"
             )
-        certified = _check_matching(graph, matching)
-        if result.lower > certified:
+        if result.lower > size:
             raise CertificateError(
                 f"lower bound {result.lower} exceeds the certified "
-                f"matching size {certified}"
+                f"matching size {size}"
             )
-    elif matching is not None:
-        _check_matching(graph, matching)
 
     upper_candidates: list[int] = []
     if cover is not None:
-        upper_candidates.append(_check_cover(graph, cover))
-    if matching is not None and matching.maximal:
-        upper_candidates.append(2 * matching.size)
+        upper_candidates.append(_check_cover(cg, cover))
+    if size is not None and matching.maximal:
+        upper_candidates.append(2 * size)
     # An exact engine claims ``upper == ν == |M|`` for a *maximum*
     # matching — tighter than anything a certificate can prove (that
     # would amount to certifying maximumness).  The bracket
     # ``[|M|, 2|M|]`` is still re-proven above; the zero-width claim
     # itself is the engine's, so it is exempted here, explicitly.
-    exact_claim = (
-        result.exact
-        and matching is not None
-        and result.upper == matching.size
-    )
+    exact_claim = result.exact and size is not None and result.upper == size
     if not upper_candidates and not exact_claim:
         raise CertificateError(
             f"upper bound {result.upper} has no certificate "

@@ -45,18 +45,25 @@ logger = logging.getLogger(__name__)
 #: randomised units bind a content-derived RNG.
 #: v3: the certified-bounds subsystem — ``optimum="dual_bound"`` units
 #: carry interval fields in their records.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the array-native ν sandwich — the primal matching is the
+#: round-parallel randomized greedy over the CSR arrays, seeded from the
+#: unit's ``GraphSpec`` instead of the whole ``JobSpec``, so
+#: ``dual_bound`` brackets (``nu_lower``/``nu_upper`` and the interval
+#: fields derived from them) change and every unit of a cell shares one.
+CACHE_SCHEMA_VERSION = 4
 
-#: The pre-bounds schema tag.  The v3 bump is *scoped*: only the new
-#: ``dual_bound`` mode (whose records did not exist before) addresses
-#: under v3; every historical mode — ``exact``, ``none``,
-#: ``lower_bound``, ``auto`` — keeps its v2 address, because its record
-#: bytes are unchanged (interval fields are only emitted by the
-#: sandwich path) and invalidating terabyte-scale sweep caches for a
-#: feature they do not use would be pure waste.  ``auto`` units above
-#: :data:`repro.bounds.DUAL_BOUND_EDGE_LIMIT` edges now resolve to the
-#: sandwich instead of blossom; any stale v2 entry there still holds a
-#: sound (blossom) lower bound, just without the interval columns.
+#: The pre-bounds schema tag.  Schema bumps since v3 are *scoped*: only
+#: the ``dual_bound`` mode addresses under the current schema; every
+#: historical mode — ``exact``, ``none``, ``lower_bound``, ``auto`` —
+#: keeps its v2 address, because its record bytes are unchanged
+#: (interval fields are only emitted by the sandwich path) and
+#: invalidating terabyte-scale sweep caches for a feature they do not
+#: use would be pure waste.  ``auto`` units above
+#: :data:`repro.bounds.DUAL_BOUND_EDGE_LIMIT` edges resolve to the
+#: sandwich too, under their v2 address.  A stale v2 entry there holds
+#: either a sound (blossom) lower bound without the interval columns,
+#: or a sandwich bracket from before v4: sound (it was verified when
+#: written), but one a fresh run no longer reproduces byte for byte.
 _LEGACY_SCHEMA_VERSION = 2
 
 DEFAULT_CACHE_DIR = ".repro-cache"

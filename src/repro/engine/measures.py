@@ -251,14 +251,17 @@ class QualityMeasure(Measure):
     def _sandwich(spec: JobSpec, graph: PortNumberedGraph) -> OptimumOutcome:
         """The dual_bound path: a verified ν bracket → an EDS interval.
 
-        The primal matching order derives from the unit's own content
+        The primal matching order derives from the unit's graph spec
         (``derive_seed``), so the bracket — like everything else in a
-        record — is a pure function of the spec.  Every emitted bound
-        is re-proven by :func:`repro.bounds.verify_certificate` under
-        its own span before it may enter a record.
+        record — is a pure function of the spec, and every unit of one
+        cell gets the same one: :func:`nu_sandwich` memoises it on the
+        compiled graph, so it is computed once per cell.  Every emitted
+        bound is still re-proven by :func:`repro.bounds.
+        verify_certificate` under its own span, once per unit, before
+        it may enter a record.
         """
         nu = nu_sandwich(
-            graph, seed=derive_seed("bounds", spec.to_json_dict())
+            graph, seed=derive_seed("bounds", spec.graph.to_json_dict())
         )
         with span("optimum_verify"):
             verify_certificate(graph, nu)

@@ -8,7 +8,8 @@ only practical through the engine's sharded executor and cache;
 core (E19) and, since the certified-bounds subsystem (E21), reports
 ratio intervals from the ν sandwich instead of running blind;
 ``huge-regular`` rides the direct-to-CSR pairing-model generator to
-n = 10^6 (E24, vector engine);
+n = 10^6 (E24, vector engine) and, since the array-native sandwich
+(E28), reports certified ratio intervals there too;
 ``comparison`` is the regular-family half of the ``repro-eds compare``
 head-to-head (paper algorithms vs the :mod:`repro.baselines` family).
 """
@@ -59,11 +60,9 @@ SCENARIOS: dict[str, SweepGrid] = {
     # The million-node scenario the direct-to-CSR path unlocks: the
     # pairing-model generator emits compiled arrays in O(nd), so graph
     # build stays seconds even at n = 10^6 where the networkx regular
-    # family spent minutes in dict walks.  Ratios are off
-    # (``optimum="none"``): at this scale the object of study is
-    # rounds/sizes/memory per degree (E24); pass ``--optimum
-    # dual_bound`` for certified intervals when you can afford the
-    # ν-sandwich at 4·10^6 edges.
+    # family spent minutes in dict walks.  The ν sandwich runs over the
+    # same arrays once per cell (E28: seconds at 4·10^6 edges), so the
+    # scenario reports certified ratio intervals at every size.
     "huge-regular": SweepGrid(
         name="huge-regular",
         algorithms=("port_one", "regular_odd", "bounded_degree"),
@@ -71,7 +70,7 @@ SCENARIOS: dict[str, SweepGrid] = {
         degrees=(2, 3, 4, 8),
         sizes=(131072, 1048576),
         seeds=1,
-        optimum="none",
+        optimum="dual_bound",
     ),
     "bounded-mixed": SweepGrid(
         name="bounded-mixed",

@@ -176,11 +176,15 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
         )
     sandwiches = m.counter("optimum.sandwich")
     if sandwiches:
+        # Units of one cell share its sandwich: the first computes it,
+        # the rest count ``optimum.sandwich_shared``.
+        computed = sandwiches - m.counter("optimum.sandwich_shared")
         mean_gap = m.counter("optimum.gap_total") / sandwiches
         verify = m.summary("phase.optimum_verify")
         lines.append(
-            f"optimum: {sandwiches:g} ν-sandwich bound(s), mean gap "
-            f"(dual−primal) {mean_gap:.1f}; certificate verification "
+            f"optimum: {computed:g} ν-sandwich(es) for {sandwiches:g} "
+            f"unit(s), mean gap (dual−primal) {mean_gap:.1f}; "
+            f"certificate verification "
             f"{_fmt_s(verify['total'])} total "
             f"(p50 {_fmt_s(verify['p50'])} per unit)"
         )

@@ -5,7 +5,10 @@ The core soundness matrix runs every plain generator family at small
 sizes and asserts the full chain ``primal <= exact ν <= dual`` with
 every certificate re-proven by :func:`repro.bounds.verify_certificate`;
 the adversarial half does the same on the paper's lower-bound
-constructions, whose optimum is known by certificate.  The
+constructions, whose optimum is known by certificate.  The round-parallel
+greedy is checked edge for edge against a sequential reference, the
+array certificates against every corruption the verifier must catch,
+and the engine against its once-per-cell sandwich.  The
 byte-stability half pins the content addresses and record bytes of the
 pre-bounds optimum modes against fixtures recorded *before* this
 subsystem existed (``tests/data/v2_optimum_keys.json``).
@@ -19,7 +22,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.lp_rounding import LPRoundingEDS
 from repro.bounds import (
@@ -32,7 +38,7 @@ from repro.bounds import (
     dual_bound,
     exact_bound,
     fractional_vertex_cover,
-    maximum_matching_edges,
+    maximum_matching_mask,
     nu_sandwich,
     primal_bound,
     primal_matching,
@@ -40,6 +46,7 @@ from repro.bounds import (
     verify_certificate,
 )
 from repro.bounds.fractional import line_graph_covering_instance
+from repro.bounds.primal import edge_priority, greedy_matching
 from repro.eds.bounds import (
     eds_lower_bound,
     eds_lower_bound_from_nu,
@@ -48,13 +55,17 @@ from repro.eds.bounds import (
 from repro.eds.exact import minimum_eds_size
 from repro.eds.properties import is_edge_dominating_set
 from repro.engine.cache import cache_key
-from repro.engine.executor import execute_unit
+from repro.engine.executor import execute_unit, run_units
 from repro.engine.records import ResultRecord, ResultStore
 from repro.engine.spec import GraphSpec, JobSpec, canonical_json
 from repro.exceptions import CertificateError
 from repro.lowerbounds.even import build_even_lower_bound
 from repro.lowerbounds.odd import build_odd_lower_bound
 from repro.obs.spans import recording
+from repro.portgraph import PortGraphBuilder
+from repro.portgraph.arrays import ArrayGraph
+from repro.runtime.outputs import EdgeSelection
+from repro.testing import port_graphs
 
 from test_family_matrix import BOUNDED_FAMILIES, REGULAR_FAMILIES
 
@@ -99,7 +110,7 @@ class TestSandwichSoundnessMatrix:
     @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
     def test_primal_matching_is_maximal_matching(self, name, make, d):
         g = make()
-        matching = primal_matching(g, seed=0)
+        matching = EdgeSelection(g, primal_matching(g, seed=0))
         assert is_edge_dominating_set(g, matching), name
         matched = {v for e in matching for v in (e.u, e.v)}
         assert len(matched) == 2 * len(matching), name
@@ -111,7 +122,50 @@ class TestSandwichSoundnessMatrix:
         assert result.exact
         assert result.lower == result.upper == maximum_matching_size(g)
         assert verify_certificate(g, result)
-        assert len(maximum_matching_edges(g)) == result.lower
+        mask = maximum_matching_mask(g)
+        assert np.count_nonzero(mask) == 2 * result.lower
+        assert np.array_equal(mask, mask[g.compiled().vector().mate])
+
+
+def sequential_greedy(vg, priority):
+    """Reference: scan the edges in priority order, keep an edge whose
+    endpoints are both still free."""
+    selected = np.zeros(vg.num_ports, dtype=bool)
+    taken: set[int] = set()
+    lead = np.flatnonzero(vg.mate > vg.all_ports).tolist()
+    for g in sorted(lead, key=lambda g: priority[g]):
+        u, v = int(vg.port_node[g]), int(vg.peer_node[g])
+        if u not in taken and v not in taken:
+            taken.update((u, v))
+            selected[g] = selected[vg.mate[g]] = True
+    return selected
+
+
+class TestGreedyEquivalence:
+    """The round-parallel greedy is the sequential greedy, edge for edge."""
+
+    @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounds_equal_sequential_on_the_matrix(self, name, make, d,
+                                                   seed):
+        vg = make().compiled().vector()
+        priority = edge_priority(vg, seed)
+        assert np.array_equal(
+            greedy_matching(vg, priority), sequential_greedy(vg, priority)
+        ), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=port_graphs(max_nodes=12), data=st.data())
+    def test_rounds_equal_sequential_on_random_graphs(self, g, data):
+        vg = g.compiled().vector()
+        lead = np.flatnonzero(vg.mate > vg.all_ports)
+        order = data.draw(st.permutations(range(lead.size)))
+        priority = np.empty(vg.num_ports, dtype=np.int64)
+        priority[lead] = order
+        priority[vg.mate[lead]] = order
+        assert np.array_equal(
+            greedy_matching(vg, priority), sequential_greedy(vg, priority)
+        )
 
 
 class TestAdversarialInstances:
@@ -137,8 +191,10 @@ class TestAdversarialInstances:
 
 class TestDeterminism:
     def test_same_seed_same_certificate(self):
-        g = REGULAR_FAMILIES[4][1]()  # circulant-8
-        a, b = nu_sandwich(g, seed=7), nu_sandwich(g, seed=7)
+        make = REGULAR_FAMILIES[4][1]  # circulant-8
+        # Two graph objects, so the second call cannot be a memo hit.
+        a, b = nu_sandwich(make(), seed=7), nu_sandwich(make(), seed=7)
+        assert a is not b
         assert a == b
 
     def test_seed_changes_are_sound_not_byte_stable(self):
@@ -162,17 +218,24 @@ class TestVerifyRejectsCorruption:
         g = REGULAR_FAMILIES[7][1]()  # petersen
         return g, nu_sandwich(g, seed=0)
 
+    @staticmethod
+    def _mask(g, *ports):
+        """The mask selecting *ports* and nothing else."""
+        mask = np.zeros(g.compiled().num_ports, dtype=bool)
+        mask[list(ports)] = True
+        return mask
+
     def test_cover_value_lowered(self):
         g, s = self._sandwich()
         cert = s.certificate
-        values = dict(cert.cover.values)
-        victim = next(iter(values))
-        values[victim] = values[victim] - Fraction(1, 4)
+        numerators = cert.cover.numerators.copy()
+        victim = int(np.flatnonzero(numerators)[0])
+        numerators[victim] -= 1
         broken = BoundResult(
             lower=s.lower, upper=s.upper,
             certificate=SandwichCertificate(
                 matching=cert.matching,
-                cover=CoverCertificate(values=values),
+                cover=CoverCertificate(numerators, cert.cover.denominator),
             ),
             exact=s.exact,
         )
@@ -181,41 +244,113 @@ class TestVerifyRejectsCorruption:
 
     def test_cover_value_negative(self):
         g, _ = self._sandwich()
-        node = g.nodes[0]
-        cover = CoverCertificate(
-            values={n: Fraction(1) for n in g.nodes} | {node: Fraction(-1)}
-        )
+        numerators = np.ones(g.num_nodes, dtype=np.int64)
+        numerators[0] = -1
+        cover = CoverCertificate(numerators, 1)
         result = BoundResult(0, cover.bound, cover, exact=False)
         with pytest.raises(CertificateError, match="negative"):
             verify_certificate(g, result)
 
     def test_cover_value_float_rejected(self):
         g, _ = self._sandwich()
-        cover = CoverCertificate(values={n: 0.5 for n in g.nodes})
+        cover = CoverCertificate(np.full(g.num_nodes, 0.5), 1)
         result = BoundResult(0, g.num_nodes // 2, cover, exact=False)
         with pytest.raises(CertificateError, match="not exact"):
             verify_certificate(g, result)
 
+    def test_cover_denominator_float_rejected(self):
+        g, _ = self._sandwich()
+        cover = CoverCertificate(np.ones(g.num_nodes, dtype=np.int64), 1.0)
+        result = BoundResult(0, g.num_nodes, cover, exact=False)
+        with pytest.raises(CertificateError, match="not exact"):
+            verify_certificate(g, result)
+
+    def test_cover_wrong_length_rejected(self):
+        g, _ = self._sandwich()
+        cover = CoverCertificate(np.ones(g.num_nodes - 1, dtype=np.int64), 1)
+        result = BoundResult(0, g.num_nodes, cover, exact=False)
+        with pytest.raises(CertificateError, match="one numerator per node"):
+            verify_certificate(g, result)
+
     def test_matching_overlap_rejected(self):
         g, _ = self._sandwich()
-        edges = [e for e in g.edges if not e.is_loop]
-        shared = [
-            (a, b) for a in edges for b in edges
-            if a != b and (a.endpoints & b.endpoints)
-        ][0]
-        cert = MatchingCertificate(edges=frozenset(shared), maximal=False)
+        mate = g.compiled().mate
+        # Ports 0 and 1 are two edges at the same node.
+        cert = MatchingCertificate(
+            self._mask(g, 0, mate[0], 1, mate[1]), maximal=False
+        )
         result = BoundResult(2, 2 * g.num_edges, cert, exact=False)
         with pytest.raises(CertificateError, match="not a matching"):
             verify_certificate(g, result)
 
     def test_false_maximality_rejected(self):
         g, _ = self._sandwich()
-        cert = MatchingCertificate(
-            edges=frozenset({g.edges[0]}), maximal=True
-        )
+        mate = g.compiled().mate
+        cert = MatchingCertificate(self._mask(g, 0, mate[0]), maximal=True)
         result = BoundResult(1, 2, cert, exact=False)
         with pytest.raises(CertificateError, match="maximality"):
             verify_certificate(g, result)
+
+    def test_mask_not_closed_under_mate_rejected(self):
+        g, _ = self._sandwich()
+        cert = MatchingCertificate(self._mask(g, 0), maximal=False)
+        result = BoundResult(0, 2 * g.num_edges, cert, exact=False)
+        with pytest.raises(CertificateError, match="not closed under mate"):
+            verify_certificate(g, result)
+
+    @pytest.mark.parametrize("loop", ["directed", "undirected"])
+    def test_loop_port_rejected(self, loop):
+        b = PortGraphBuilder()
+        b.add_node("s", 2)
+        b.add_node("t", 3)
+        b.connect("s", 1, "t", 1)
+        b.connect_fixed_point("s", 2)
+        b.connect("t", 2, "t", 3)
+        g = b.build()
+        cg = g.compiled()
+        ports = (
+            [cg.gport(cg.node_index["s"], 2)] if loop == "directed"
+            else [cg.gport(cg.node_index["t"], 2),
+                  cg.gport(cg.node_index["t"], 3)]
+        )
+        cert = MatchingCertificate(self._mask(g, *ports), maximal=False)
+        result = BoundResult(0, 2 * g.num_edges, cert, exact=False)
+        with pytest.raises(CertificateError, match="loop"):
+            verify_certificate(g, result)
+
+    @pytest.mark.parametrize("mask", ["short", "int8", "list"])
+    def test_mask_wrong_length_or_dtype_rejected(self, mask):
+        g, s = self._sandwich()
+        good = s.certificate.matching.selected
+        bad = {
+            "short": good[:-1],
+            "int8": good.astype(np.int8),
+            "list": good.tolist(),
+        }[mask]
+        cert = MatchingCertificate(bad, maximal=True)
+        result = BoundResult(s.lower, s.upper, cert, exact=False)
+        with pytest.raises(CertificateError, match="bool mask"):
+            verify_certificate(g, result)
+
+    def test_overflow_guard_falls_back_to_python_ints(self):
+        """Numerators near 2^62: the pairwise sums leave int64, so the
+        int64 path would wrap; the guard re-checks over Python ints."""
+        g, _ = self._sandwich()
+        big = 1 << 62
+        feasible = CoverCertificate(np.full(g.num_nodes, big), big)
+        assert feasible.bound == g.num_nodes
+        assert verify_certificate(
+            g, BoundResult(0, feasible.bound, feasible, exact=False)
+        )
+        numerators = np.full(g.num_nodes, big)
+        cg = g.compiled()
+        numerators[cg.port_node[0]] = 0
+        numerators[cg.port_node[cg.mate[0]]] = big - 1
+        infeasible = CoverCertificate(numerators, big)
+        with pytest.raises(CertificateError, match="infeasible"):
+            verify_certificate(
+                g, BoundResult(0, infeasible.bound, infeasible, exact=False)
+            )
 
     def test_overclaimed_lower_bound_rejected(self):
         g, s = self._sandwich()
@@ -241,6 +376,14 @@ class TestVerifyRejectsCorruption:
             verify_certificate(
                 g, BoundResult(s.lower, s.upper, None, False)
             )
+
+    def test_memoised_certificate_is_read_only(self):
+        g, s = self._sandwich()
+        assert nu_sandwich(g, seed=0) is s
+        for array in (s.certificate.matching.selected,
+                      s.certificate.cover.numerators):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +427,7 @@ class TestSharedFractionalSolver:
             x_u = programs[e.u].x[e.i]
             x_v = programs[e.v].x[e.j]
             assert x_u == x_v, "endpoints disagree"
-            assert x_u == central[index], (
+            assert x_u == Fraction(int(central[index]), 2 * delta), (
                 "central and distributed solves diverge"
             )
 
@@ -298,15 +441,16 @@ class TestSharedFractionalSolver:
             phases=doubling_phases(delta),
         )
         for constraint in constraints:
-            assert sum(values[i] for i in constraint) >= 1
+            assert sum(values[i] for i in constraint) >= 2 * delta
 
     def test_vertex_cover_certificate_feasible_everywhere(self):
         for name, make, _ in ALL_FAMILIES:
             g = make()
             cover = fractional_vertex_cover(g, primal_matching(g, seed=0))
+            y, index = cover.numerators, g.compiled().node_index
             for e in g.edges:
                 assert (
-                    cover.values.get(e.u, 0) + cover.values.get(e.v, 0) >= 1
+                    y[index[e.u]] + y[index[e.v]] >= cover.denominator
                 ), name
 
 
@@ -420,6 +564,49 @@ class TestEngineThreading:
         assert rec.counters["optimum.sandwich"] == 1
         assert "optimum.gap_total" in rec.counters
 
+    def test_sandwich_runs_once_per_cell(self, monkeypatch):
+        """Two algorithms on one GraphSpec: one sandwich, one bracket."""
+        import repro.bounds as bounds
+
+        calls = []
+        real = bounds.primal_matching
+
+        def counting(graph, *, seed=0):
+            calls.append(seed)
+            return real(graph, seed=seed)
+
+        monkeypatch.setattr(bounds, "primal_matching", counting)
+        graph = GraphSpec.make("regular", seed=3, d=3, n=32)
+        units = [
+            JobSpec(algorithm=name, graph=graph, optimum="dual_bound")
+            for name in ("port_one", "bounded_degree", "regular_odd")
+        ]
+        records = run_units(units, backend="inline").records
+        assert len(calls) == 1
+        brackets = {
+            (r.extra["nu_lower"], r.extra["nu_upper"]) for r in records
+        }
+        assert len(brackets) == 1
+        for r in records:
+            assert type(r.extra["nu_lower"]) is int
+            assert type(r.extra["nu_upper"]) is int
+
+    def test_dual_bound_on_array_graph_builds_no_port_edges(
+        self, monkeypatch
+    ):
+        def refuse(self):
+            raise AssertionError("PortEdge tuple materialised")
+
+        monkeypatch.setattr(ArrayGraph, "_iter_array_edges", refuse)
+        spec = JobSpec(
+            algorithm="bounded_degree",
+            graph=GraphSpec.make("pairing_regular", seed=1, d=4, n=512),
+            optimum="dual_bound",
+        )
+        record = execute_unit(spec)
+        assert record.has_interval
+        assert record.extra["nu_lower"] <= record.extra["nu_upper"]
+
 
 class TestSummaryAndCompareIntervals:
     def _interval_record(self, key="k1"):
@@ -499,7 +686,11 @@ class TestByteStability:
             canonical_json(legacy_payload).encode()
         ).hexdigest()
         assert cache_key(spec) != legacy_key
-        current_payload = {"schema": 3, "unit": spec.to_json_dict()}
+        previous_payload = {"schema": 3, "unit": spec.to_json_dict()}
+        assert cache_key(spec) != hashlib.sha256(
+            canonical_json(previous_payload).encode()
+        ).hexdigest()
+        current_payload = {"schema": 4, "unit": spec.to_json_dict()}
         assert cache_key(spec) == hashlib.sha256(
             canonical_json(current_payload).encode()
         ).hexdigest()

@@ -146,7 +146,7 @@ class TestEngineIntegration:
         units = grid.expand()
         assert units, "huge-regular expanded to nothing"
         assert all(u.graph.family == "pairing_regular" for u in units)
-        assert all(u.optimum == "none" for u in units)
+        assert all(u.optimum == "dual_bound" for u in units)
         # regular_odd applies only to odd degrees.
         assert not any(
             u.algorithm == "regular_odd" and u.graph.params[0][1] % 2 == 0

@@ -286,6 +286,45 @@ class TestInstrumentedExecution:
             in render_report(session)
         )
 
+    def test_sandwich_split_and_sharing_reported(self):
+        """The cell's first dual_bound unit computes the ν sandwich under
+        ``optimum:primal`` / ``optimum:dual``; the others hit the memo,
+        record neither span and count ``optimum.sandwich_shared``."""
+        from repro.obs import render_report
+
+        grid = SweepGrid(
+            name="telemetry-sandwich",
+            algorithms=("port_one", "bounded_degree"),
+            family="regular",
+            degrees=(3, 4),
+            sizes=(16,),
+            seeds=1,
+            optimum="dual_bound",
+        )
+        specs = grid.expand()
+        cells = len(list(grid.cells()))
+        assert cells < len(specs)
+        with telemetry() as session:
+            run_units(specs, backend="inline")
+        computed = [
+            u for u in session.units
+            if "optimum:primal" in u.phase_self_times()
+        ]
+        assert len(computed) == cells
+        for unit in session.units:
+            phases = unit.phase_self_times()
+            assert "optimum_verify" in phases
+            assert ("optimum:dual" in phases) == (unit in computed)
+            shared = unit.counters.get("optimum.sandwich_shared", 0)
+            assert shared == (0 if unit in computed else 1)
+        assert session.metrics.counter("optimum.sandwich_shared") == (
+            len(specs) - cells
+        )
+        assert (
+            f"optimum: {cells} ν-sandwich(es) for {len(specs)} unit(s), "
+            in render_report(session)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Trace export
