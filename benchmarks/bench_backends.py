@@ -1,10 +1,11 @@
 """Execution-backend smoke: inline must beat process fan-out on tiny units.
 
-Pool startup is a fixed tax (interpreter spawn + catalogue reload per
-worker); on a grid of sub-5 ms units it dominates the whole run, which
-is exactly why the engine grew an inline backend and the ``auto``
-calibrator.  Each benchmark times one backend over the same tiny grid
-and asserts the determinism contract (identical records everywhere).
+Pool startup is a fixed tax (starting the worker processes, then each
+worker's first imports); on a grid of sub-millisecond units it dominates
+the whole run, which is why the engine keeps an inline backend and why
+``auto`` runs inline for one worker.  Each benchmark times one backend
+over the same tiny grid and asserts the determinism contract (identical
+records everywhere).
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ TINY = SweepGrid(
     degrees=(2, 3),
     sizes=(12, 16),
     seeds=2,
-    optimum="none",  # keep units well under the 5 ms threshold
+    optimum="none",  # keep units tiny
 )
 
 BASELINE = [r.canonical() for r in run_sweep(TINY, backend="inline").records]
 
 
-@pytest.mark.parametrize("backend", ["inline", "thread", "process", "auto"])
+@pytest.mark.parametrize("backend", ["inline", "process", "auto"])
 def test_backend(benchmark, backend):
     report = benchmark.pedantic(
         lambda: run_sweep(TINY, workers=2, backend=backend),
@@ -41,9 +42,8 @@ def test_backend(benchmark, backend):
 
 
 def test_inline_beats_process_on_tiny_units():
-    """The ISSUE acceptance criterion, measured: on a sub-5 ms/unit
-    grid, pool startup makes the process backend strictly slower than
-    zero-overhead serial execution."""
+    """On a grid of tiny units, pool startup makes the process backend
+    strictly slower than zero-overhead serial execution."""
     timings = {}
     for backend in ("inline", "process"):
         best = min(

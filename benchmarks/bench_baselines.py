@@ -67,25 +67,3 @@ def test_baseline_units_engine_cacheable(tmp_path_factory):
         f"warm {warm_elapsed * 1000:.1f} ms "
         f"({warm.cache_hits}/{len(warm.records)} hits)"
     )
-
-
-#: The hint-benchmark grid: no exact optima, no exact-solver contender,
-#: so every unit is genuinely tiny (well under the 5 ms threshold).
-TINY_COMPARISON_GRID = COMPARISON_GRID.override(
-    name="bench-baselines-tiny",
-    algorithms=("greedy_mds_line", "lp_rounding", "forest_dds"),
-    sizes=(12,),
-    optimum="none",
-)
-
-
-def test_comparison_measure_stays_inline_under_auto():
-    """The scheduling-hint satellite, observed end to end: on a grid of
-    tiny units the auto backend skips calibration entirely and stays
-    inline.  (Expensive units still re-escalate — the hint skips the
-    probe, not the safety net.)"""
-    report = run_sweep(TINY_COMPARISON_GRID, workers=4, backend="auto")
-    assert report.backend == "auto:inline"
-    assert "measure hint" in report.calibration
-    assert "calibration skipped" in report.calibration
-    emit(f"auto backend on tiny comparison grid: {report.backend_line()}")

@@ -126,10 +126,9 @@ def run_sweep(
     Keyword *overrides* (``degrees=…``, ``algorithms=…``, ``measure=…``)
     apply to scenario/grid inputs before expansion.  *jsonl* additionally
     writes the result records as canonical JSON lines.  *backend* picks
-    the execution strategy (``"auto"``, ``"inline"``, ``"thread"``,
-    ``"process"``, or an :class:`ExecutionBackend`); the default
-    ``"auto"`` stays serial for cheap units and fans out across
-    *workers* processes once per-unit cost justifies pool startup.
+    the execution strategy (``"auto"``, ``"inline"``, ``"process"``, or
+    an :class:`ExecutionBackend`); the default ``"auto"`` runs inline
+    for one worker and across a pool of *workers* processes otherwise.
     *cache_max_size* (bytes, or a human size like ``"64MiB"``) is the
     opt-in gc automation: after the sweep the cache is evicted down to
     the cap, least recently written records first.

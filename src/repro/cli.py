@@ -130,10 +130,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default="auto",
-        help="execution backend: 'inline' (zero-overhead serial), "
-        "'thread', 'process' (multiprocessing fan-out), or 'auto' "
-        "(probe per-unit cost, fan out only when pool startup pays off; "
-        "default)",
+        help="execution backend: 'inline' (serial, in this process), "
+        "'process' (a pool of --workers processes), or 'auto' (inline "
+        "for one worker, process otherwise; default)",
     )
     parser.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,

@@ -9,9 +9,9 @@ The engine turns the reproduction's experiments into data-driven grids:
 * :mod:`repro.engine.cache` — the content-addressed on-disk cache under
   ``.repro-cache/`` keyed by the SHA-256 of each unit's canonical JSON,
   with size/age eviction (:meth:`ResultCache.gc`);
-* :mod:`repro.engine.backends` — pluggable execution backends
-  (``inline``, ``thread``, ``process``, and the self-calibrating
-  ``auto`` that probes per-unit cost before paying pool startup);
+* :mod:`repro.engine.backends` — execution backends (``inline`` and
+  ``process``; the default ``auto`` is inline for one worker and the
+  process pool for more);
 * :mod:`repro.engine.executor` — grid execution over a backend with
   write-through caching and progress/ETA reporting; a backend's unit of
   work is the *cell* (the units on one graph), whose graph is built once;
@@ -32,11 +32,9 @@ in the harness is computed exactly once per cache directory.
 
 from repro.engine.backends import (
     BACKEND_NAMES,
-    AutoBackend,
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.engine.cache import (
@@ -67,7 +65,6 @@ from repro.engine.spec import (
 )
 
 __all__ = [
-    "AutoBackend",
     "BACKEND_NAMES",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
@@ -85,7 +82,6 @@ __all__ = [
     "ResultStore",
     "SCENARIOS",
     "SweepGrid",
-    "ThreadBackend",
     "cache_key",
     "canonical_json",
     "default_execute",

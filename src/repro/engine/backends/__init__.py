@@ -1,28 +1,20 @@
-"""Pluggable execution backends for the experiment engine.
+"""Execution backends for the experiment engine.
 
 The executor's scheduling strategy is a plugin: :func:`run_units`
 resolves a backend name (or ready-made :class:`ExecutionBackend`) and
-hands it the uncached work units.  Four backends ship built in:
+hands it the uncached work units.  Two backends ship built in:
 
 * :class:`InlineBackend` — zero-overhead serial execution in the
   calling process (no pickling, no pool);
-* :class:`ThreadBackend` — an in-process thread pool, for measure-bound
-  units that release the GIL or are I/O-ish;
-* :class:`ProcessBackend` — the spawn-safe ``multiprocessing.Pool``
-  fan-out with registry-based name resolution in each worker;
-* :class:`AutoBackend` — times the first few units inline and switches
-  to process fan-out only when per-unit cost justifies pool startup.
+* :class:`ProcessBackend` — a ``concurrent.futures`` process pool, one
+  cell per task, with registry-based name resolution in each worker.
 
-All backends honour the engine's determinism contract — records depend
-only on their specs — so the backend choice changes wall-clock time,
-never results.
+``"auto"``, the default, is a rule on the worker count: inline for one
+worker, the process pool for more.  Every backend honours the engine's
+determinism contract — records depend only on their specs — so the
+backend choice changes wall-clock time, never results.
 """
 
-from repro.engine.backends.auto import (
-    AutoBackend,
-    DEFAULT_FANOUT_THRESHOLD,
-    PROBE_UNITS,
-)
 from repro.engine.backends.base import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -30,16 +22,11 @@ from repro.engine.backends.base import (
 )
 from repro.engine.backends.inline import InlineBackend
 from repro.engine.backends.process import ProcessBackend
-from repro.engine.backends.thread import ThreadBackend
 
 __all__ = [
-    "AutoBackend",
     "BACKEND_NAMES",
-    "DEFAULT_FANOUT_THRESHOLD",
     "ExecutionBackend",
     "InlineBackend",
-    "PROBE_UNITS",
     "ProcessBackend",
-    "ThreadBackend",
     "resolve_backend",
 ]

@@ -2,14 +2,13 @@
 
 An :class:`ExecutionBackend` turns a batch of pending work units into
 result records.  The contract mirrors the engine's determinism promise:
-a backend may compute units in any order and on any substrate (the
-calling thread, a thread pool, a process pool), but each record depends
-only on its spec — so every backend produces byte-identical results and
-the choice is purely a performance decision.
+a backend may compute units in any order and in any process, but each
+record depends only on its spec — so every backend produces
+byte-identical results and the choice is purely a performance decision.
 
 Backends are constructed from a *name* plus the worker count through
-:func:`resolve_backend`; ``"auto"`` calibrates at run time (see
-:mod:`repro.engine.backends.auto`).
+:func:`resolve_backend`; ``"auto"`` is inline for one worker and the
+process pool for more.
 """
 
 from __future__ import annotations
@@ -30,14 +29,10 @@ class ExecutionBackend:
     Subclasses implement :meth:`run`, yielding ``(index, record,
     telemetry)`` triples in any order; the executor reassembles
     submission order.  The third element is the unit's
-    :class:`~repro.obs.spans.UnitTelemetry` (``None`` when telemetry is
-    off — and always ``None``-able: the executor also accepts bare
-    ``(index, record)`` pairs from third-party backends that predate
-    telemetry).  Telemetry travels *next to* the record, never inside
-    it, preserving the byte-identity contract for cached records.
-    :meth:`describe` names what actually ran (e.g.
-    ``"process(workers=4)"``) and :attr:`decision` carries a human-
-    readable calibration note for backends that choose at run time.
+    :class:`~repro.obs.spans.UnitTelemetry`, or ``None`` when telemetry
+    is off.  Telemetry travels *next to* the record, never inside it,
+    preserving the byte-identity contract for cached records.
+    :meth:`describe` names what ran (e.g. ``"process(workers=4)"``).
 
     The built-in backends split *pending* with
     :func:`~repro.engine.executor.cells` and run each cell through
@@ -49,8 +44,6 @@ class ExecutionBackend:
 
     #: Registry name; set by subclasses.
     name: str = ""
-    #: Calibration note (empty for backends with nothing to decide).
-    decision: str = ""
 
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
@@ -64,7 +57,7 @@ class ExecutionBackend:
 
 
 #: The names ``resolve_backend`` (and the CLI ``--backend`` flag) accept.
-BACKEND_NAMES = ("auto", "inline", "process", "thread")
+BACKEND_NAMES = ("auto", "inline", "process")
 
 
 def resolve_backend(
@@ -72,27 +65,21 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Normalise a backend argument to an :class:`ExecutionBackend`.
 
-    ``None`` means ``"auto"``: serial for cheap units, process fan-out
-    once per-unit cost justifies pool startup.  Ready-made backend
-    instances pass through (worker count and all).
+    ``None`` means ``"auto"``: :class:`InlineBackend` for ``workers <=
+    1``, :class:`ProcessBackend` with *workers* processes otherwise.
+    Ready-made backend instances pass through (worker count and all).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    from repro.engine.backends.auto import AutoBackend
     from repro.engine.backends.inline import InlineBackend
     from repro.engine.backends.process import ProcessBackend
-    from repro.engine.backends.thread import ThreadBackend
 
-    if backend is None:
-        backend = "auto"
-    if backend == "auto":
-        return AutoBackend(workers=workers)
+    if backend is None or backend == "auto":
+        backend = "inline" if workers <= 1 else "process"
     if backend == "inline":
         return InlineBackend()
     if backend == "process":
         return ProcessBackend(workers=workers)
-    if backend == "thread":
-        return ThreadBackend(workers=workers)
     raise ValueError(
         f"unknown execution backend {backend!r}; "
         f"available: {', '.join(BACKEND_NAMES)}"

@@ -1,11 +1,8 @@
 """The zero-overhead serial backend.
 
 Executes every unit in the calling process, in submission order, with
-no pickling, no pool startup, and no thread handoff; each cell's graph
-is built once and shared by its units.  This is the right
-choice for grids of very small units (pool startup alone dominates
-below ~5 ms/unit) and is what ``"auto"`` stays on until calibration
-says otherwise.
+no pickling and no pool startup; each cell's graph is built once and
+shared by its units.  This is what ``"auto"`` runs for one worker.
 """
 
 from __future__ import annotations

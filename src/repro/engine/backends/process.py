@@ -1,7 +1,7 @@
-"""The ``multiprocessing`` fan-out backend.
+"""The process-pool fan-out backend.
 
-This is the engine's original sharded executor path, extracted: each
-task is one cell (the units on one graph, built once in the worker).
+Each task is one cell (the units on one graph, built once in the
+worker), submitted to a :class:`concurrent.futures.ProcessPoolExecutor`.
 Workers receive plain spec dictionaries and resolve algorithm/graph/
 measure names through the registry themselves, which keeps the fan-out
 free of code pickling (and safe under both ``fork`` and ``spawn`` start
@@ -10,20 +10,21 @@ payload carries the names of the registering modules so a ``spawn``
 worker can re-import them — which is why plugins must register at
 module import time.
 
-Pool startup costs real time (interpreter spawn + catalogue reload per
-worker), so this backend pays off only when per-unit cost is well above
-~5 ms; below that, prefer :class:`~repro.engine.backends.inline.
-InlineBackend` or let ``"auto"`` calibrate.
+A worker that dies mid-cell (the OOM killer, a signal) breaks the pool.
+The backend then yields every cell that finished, so they reach the
+write-through cache, and raises :class:`~repro.exceptions.
+WorkerCrashedError` naming the cells that did not; a re-run computes
+only those.
 """
 
 from __future__ import annotations
 
 import importlib
 import logging
-import multiprocessing
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.engine.backends.base import ExecutionBackend
+from repro.exceptions import WorkerCrashedError
 from repro.registry.algorithms import get_algorithm
 from repro.registry.families import get_family
 from repro.registry.measures import get_measure
@@ -105,7 +106,7 @@ def _worker(
 
 
 class ProcessBackend(ExecutionBackend):
-    """Shard cells across a ``multiprocessing.Pool``."""
+    """Shard cells across a ``concurrent.futures`` process pool."""
 
     name = "process"
 
@@ -118,6 +119,9 @@ class ProcessBackend(ExecutionBackend):
     def run(
         self, pending: Sequence[tuple[int, "JobSpec"]]
     ) -> Iterator[tuple[int, "ResultRecord", "UnitTelemetry | None"]]:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.engine.executor import cells, execute_cell
         from repro.engine.records import ResultRecord
         from repro.obs.memory import memory_collection_enabled
@@ -132,15 +136,26 @@ class ProcessBackend(ExecutionBackend):
         plugins = _plugin_modules(spec for cell in tasks for _, spec in cell)
         collect = collection_enabled()
         collect_mem = memory_collection_enabled()
-        payloads = [
-            (
-                [(index, spec.to_json_dict()) for index, spec in cell],
-                plugins, collect, collect_mem,
-            )
-            for cell in tasks
-        ]
-        with multiprocessing.Pool(min(self.workers, len(tasks))) as pool:
-            for results in pool.imap_unordered(_worker, payloads):
+        pool = ProcessPoolExecutor(min(self.workers, len(tasks)))
+        try:
+            futures = {
+                pool.submit(_worker, (
+                    [(index, spec.to_json_dict()) for index, spec in cell],
+                    plugins, collect, collect_mem,
+                )): cell[0][1].graph.label()
+                for cell in tasks
+            }
+            crash: BrokenProcessPool | None = None
+            lost: list[str] = []
+            for future in as_completed(futures):
+                try:
+                    results = future.result()
+                except BrokenProcessPool as exc:
+                    # Keep draining: cells that finished before the
+                    # crash still reach the caller (and its cache).
+                    crash = exc
+                    lost.append(futures[future])
+                    continue
                 for index, record_dict, telemetry_dict in results:
                     yield (
                         index,
@@ -148,3 +163,13 @@ class ProcessBackend(ExecutionBackend):
                         UnitTelemetry.from_json_dict(telemetry_dict)
                         if telemetry_dict is not None else None,
                     )
+            if crash is not None:
+                raise WorkerCrashedError(
+                    f"a pool worker died; {len(lost)} cell(s) did not "
+                    f"finish: {', '.join(sorted(lost))}"
+                ) from crash
+        finally:
+            # Drop the queued cells so an error in a worker or in the
+            # caller, or a closed generator, waits only for the cells
+            # already running.
+            pool.shutdown(cancel_futures=True)

@@ -4,9 +4,8 @@
 :class:`~repro.engine.records.ResultRecord`; :func:`run_units` maps a
 whole grid, serving already-computed units from the content-addressed
 cache and handing the rest to an execution backend
-(:mod:`repro.engine.backends`): inline serial, a thread pool, a
-``multiprocessing`` fan-out, or the self-calibrating ``"auto"`` default
-that probes per-unit cost before committing to pool startup.
+(:mod:`repro.engine.backends`): inline serial or a process pool.  The
+``"auto"`` default is inline for one worker and the pool for more.
 
 The backends' unit of work is the *cell*: the units that share one
 :class:`~repro.engine.spec.GraphSpec` (a sweep's algorithms on one
@@ -203,10 +202,8 @@ class ExecutionReport:
     store: ResultStore
     cache_hits: int
     computed: int
-    #: What actually ran, e.g. ``"inline"`` or ``"auto:process(workers=4)"``.
+    #: What ran, e.g. ``"inline"`` or ``"process(workers=4)"``.
     backend: str = "inline"
-    #: The calibration note for backends that decide at run time.
-    calibration: str = ""
     #: The post-sweep cache eviction outcome, when a size cap was set.
     gc: GcReport | None = None
     #: Wall-clock duration of the whole :func:`run_units` call.
@@ -233,10 +230,7 @@ class ExecutionReport:
         )
 
     def backend_line(self) -> str:
-        line = f"backend: {self.backend}"
-        if self.calibration:
-            line += f" [{self.calibration}]"
-        return line
+        return f"backend: {self.backend}"
 
     def gc_line(self) -> str:
         if self.gc is None:
@@ -258,10 +252,10 @@ def run_units(
     Cached units are served from *cache* (write-through for the rest);
     the remainder run on *backend* — a name from
     :data:`~repro.engine.backends.BACKEND_NAMES`, a ready-made
-    :class:`ExecutionBackend`, or ``None`` for the self-calibrating
-    ``"auto"`` default.  Results are reassembled into submission order,
-    so the returned records are identical for every backend and worker
-    count.
+    :class:`ExecutionBackend`, or ``None`` for ``"auto"`` (inline for one
+    worker, a pool of *workers* processes otherwise).  Results are
+    reassembled into submission order, so the returned records are
+    identical for every backend and worker count.
 
     *cache_max_bytes* is the opt-in gc automation: after execution the
     cache is evicted down to the cap with :meth:`ResultCache.gc` —
@@ -295,17 +289,14 @@ def run_units(
     resolved = resolve_backend(backend, workers=workers)
     if session is not None:
         # Flip the process-wide collection switch for the duration of
-        # the run: worker threads don't inherit our contextvars, so the
-        # session itself can't be their signal (the process backend
-        # forwards the flag to pool workers in the unit payload).
+        # the run: the session lives in a ContextVar of this process, so
+        # it can't be a pool worker's signal; the process backend
+        # forwards the flag to its workers in the unit payload.
         set_collection(True)
         set_memory_collection(session.capture_memory)
     try:
-        for item in resolved.run([(i, units[i]) for i in missing]):
-            # Backends yield (index, record, telemetry); third-party
-            # backends predating telemetry may yield bare 2-tuples.
-            index, record = item[0], item[1]
-            unit_telemetry = item[2] if len(item) > 2 else None
+        pending = [(i, units[i]) for i in missing]
+        for index, record, unit_telemetry in resolved.run(pending):
             records[index] = record
             if cache is not None:
                 cache.put(keys[index], record.to_json_dict())
@@ -330,8 +321,6 @@ def run_units(
 
     if session is not None:
         session.note("backend", resolved.describe())
-        if resolved.decision:
-            session.note("calibration", resolved.decision)
 
     store = ResultStore(records[i] for i in range(len(units)))
     return ExecutionReport(
@@ -339,7 +328,6 @@ def run_units(
         cache_hits=hits,
         computed=len(missing),
         backend=resolved.describe(),
-        calibration=resolved.decision,
         gc=gc_report,
         wall_time_s=time.perf_counter() - started,
         telemetry=session,

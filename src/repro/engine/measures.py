@@ -55,7 +55,6 @@ __all__ = [
     "OptimumOutcome",
     "PhaseSplitMeasure",
     "QualityMeasure",
-    "ThreadedComparisonMeasure",
     "build_graph",
     "default_execute",
     "unit_rng_seed",
@@ -351,14 +350,10 @@ class ComparisonMeasure(QualityMeasure):
     fraction ratio against the unit's optimum policy — plus the message
     count from a traced run, so one unit yields all three comparison
     axes (ratio, rounds, messages) for paper algorithms and baselines
-    alike.  Comparison grids are tiny by design (the exact optimum must
-    stay affordable), so the measure advertises ``preferred_backend =
-    "inline"`` and the ``auto`` backend skips pool calibration
-    entirely.
+    alike.
     """
 
     name = "comparison"
-    preferred_backend = "inline"
 
     def needs_trace(self, spec: JobSpec) -> bool:
         return True
@@ -372,27 +367,6 @@ class ComparisonMeasure(QualityMeasure):
         elif run.algorithm.model == "central":
             overrides["messages"] = 0
         return overrides
-
-
-@register_measure
-class ThreadedComparisonMeasure(ComparisonMeasure):
-    """:class:`ComparisonMeasure` hinting ``thread`` scheduling.
-
-    The ROADMAP follow-up behind ``Measure.preferred_backend="thread"``:
-    comparison grids at larger sizes spend their time inside the
-    round loop and the traced re-run — work that, unlike
-    the old dict-churning scheduler, leaves the result assembly cheap
-    enough that thread fan-out's zero startup tax beats a process pool
-    on medium grids (a process pool pays interpreter spawn + catalogue
-    reload per worker; threads pay nothing and still overlap the
-    executor's cache I/O).  Results are byte-identical to ``comparison``
-    modulo the measure name in the unit (so the two measures cache
-    separately, by design: the measure name is part of the content
-    address).
-    """
-
-    name = "comparison-mt"
-    preferred_backend = "thread"
 
 
 @register_measure

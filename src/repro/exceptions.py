@@ -23,6 +23,7 @@ __all__ = [
     "AlgorithmContractError",
     "CertificateError",
     "ConstructionError",
+    "WorkerCrashedError",
 ]
 
 
@@ -88,3 +89,7 @@ class CertificateError(ReproError):
 
 class ConstructionError(ReproError):
     """A lower-bound construction received unsupported parameters."""
+
+
+class WorkerCrashedError(ReproError):
+    """A pool worker died before its cells finished (e.g. OOM-killed)."""

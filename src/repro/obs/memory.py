@@ -77,9 +77,10 @@ def rss_peak_bytes() -> int | None:
 
 
 #: tracemalloc peaks are process-global state, so only one meter may be
-#: live per process at a time.  Under the thread backend the first unit
-#: to start wins and concurrent units skip memory capture (their spans
-#: simply carry no memory fields) — timing telemetry is unaffected.
+#: live per process at a time.  A recording opened while another's meter
+#: is live (a nested :func:`~repro.obs.spans.recording`) skips memory
+#: capture (its spans simply carry no memory fields) — timing telemetry
+#: is unaffected.
 _meter_active = False
 
 

@@ -4,8 +4,8 @@ A :class:`TelemetrySession` is installed for the duration of one CLI
 command (or any ``with telemetry() as session:`` block).  While one is
 active, ``run_units`` switches unit execution to the instrumented path,
 collects each computed unit's :class:`~repro.obs.spans.UnitTelemetry`,
-and merges it here; the cache reports lookup latency; backends leave
-calibration notes.  With no session active every instrumentation point
+and merges it here; the cache reports lookup latency; the executor
+notes which backend ran.  With no session active every instrumentation point
 is a no-op — that is the "always-on-cheap" contract.
 
 The session is deliberately dumb storage plus aggregation: rendering
@@ -36,8 +36,8 @@ class TelemetrySession:
     ):
         self.units: list[UnitTelemetry] = []
         self.metrics = MetricsRegistry()
-        #: Free-form annotations (backend description, calibration
-        #: decision, command name) surfaced in the report and the trace.
+        #: Free-form annotations (backend description, command name)
+        #: surfaced in the report and the trace.
         self.notes: dict[str, str] = {}
         #: Seconds each worker (``pid:thread``) spent computing units.
         self.worker_busy: dict[str, float] = {}

@@ -10,12 +10,11 @@ immediate yield, nothing allocated, nothing timed.  That is what keeps
 always-on instrumentation off the hot path — the scheduler's round loop
 is never touched per-message, only per-run.
 
-Process safety: a recorder lives in a ContextVar, so concurrent threads
-(the thread backend) each see only their own unit's recorder, and worker
-*processes* collect into their own recorder and ship the result back to
-the parent inside the unit payload as a :class:`UnitTelemetry` —
-telemetry never rides in the result record itself, so cached bytes are
-byte-identical with telemetry on or off.
+Process safety: a recorder lives in a ContextVar, installed for one
+unit at a time, and pool worker *processes* collect into their own
+recorder and ship the result back to the parent inside the unit payload
+as a :class:`UnitTelemetry` — telemetry never rides in the result record
+itself, so cached bytes are byte-identical with telemetry on or off.
 
 Whether instrumentation should collect at all is a process-wide flag
 (:func:`set_collection` / :func:`collection_enabled`): the executor
@@ -186,8 +185,8 @@ _recorder: ContextVar[SpanRecorder | None] = ContextVar(
 )
 
 #: Process-wide collection switch (see the module docstring).  A plain
-#: module global, not a ContextVar: worker threads and forked workers
-#: must see the executor's setting.
+#: module global, not a ContextVar: it is the executor's setting for
+#: every unit this process runs; pool workers get it in their payload.
 _collection_enabled = False
 
 
@@ -217,8 +216,8 @@ def recording(
 
     *capture_memory* defaults to the process-wide flag
     (:func:`~repro.obs.memory.memory_collection_enabled`).  tracemalloc
-    peaks are process state, so if another unit's meter is already live
-    (thread backend) this one records timing only.
+    peaks are process state, so if another recorder's meter is already
+    live (a nested :func:`recording`) this one records timing only.
     """
     rec = SpanRecorder(clock)
     if capture_memory is None:

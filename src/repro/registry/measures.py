@@ -90,12 +90,6 @@ class Measure:
     #: that regenerate fixed artifacts (the figure reproductions) opt
     #: out, so their units need no registered algorithm.
     uses_algorithm: bool = True
-    #: Scheduling hint consulted by the ``auto`` backend: ``""`` (no
-    #: preference — calibrate as usual), ``"inline"`` (units are known
-    #: to be cheap; skip the probe and stay serial), or ``"process"`` /
-    #: ``"thread"`` (units are known to be expensive; fan out at once).
-    #: A hint never changes results — records depend only on specs.
-    preferred_backend: str = ""
 
     def needs_trace(self, spec: "JobSpec") -> bool:
         """Whether this unit must run with message tracing enabled."""

@@ -97,8 +97,8 @@ def use_engine(name: str) -> Iterator[None]:
     The differential tests and the runtime benchmark wrap calls in
     ``use_engine("legacy")`` to compare against the reference loop
     without threading a parameter through every caller.  The override is
-    a :class:`~contextvars.ContextVar`, so concurrent threads (the
-    thread backend) see only their own setting.
+    a :class:`~contextvars.ContextVar` of this process, so it does not
+    reach pool workers: run under the inline backend to use it.
     """
     _resolve_engine(name)  # validate eagerly
     token = _engine_override.set(name)

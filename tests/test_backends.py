@@ -4,20 +4,19 @@ Covers the backend subsystem's contracts:
 
 * every backend produces byte-identical records (the determinism
   contract: records depend on specs, never on the execution substrate),
-* ``AutoBackend`` calibrates — inline for sub-millisecond units,
-  fan-out for slow units (driven by a fake clock, no sleeping),
-* the report records which backend ran and the calibration decision,
+* ``"auto"`` is a rule on the worker count — inline for one worker, the
+  process pool for more,
+* the report records which backend ran,
 * cached reruns are byte-identical across all backends and cache
   entries written by one backend are served to every other.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro import api
+from repro.cli import main
 from repro.engine import (
     GraphSpec,
     JobSpec,
@@ -26,12 +25,9 @@ from repro.engine import (
     run_units,
 )
 from repro.engine.backends import (
-    AutoBackend,
     BACKEND_NAMES,
-    ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     resolve_backend,
 )
 
@@ -49,55 +45,26 @@ def units():
     return GRID.expand()
 
 
-class RecordingBackend(ExecutionBackend):
-    """An inline backend that records every batch handed to it."""
-
-    name = "recording"
-
-    def __init__(self):
-        self.batches: list[int] = []
-
-    def run(self, pending):
-        self.batches.append(len(pending))
-        yield from InlineBackend().run(pending)
-
-
-def fake_clock(step: float):
-    """A clock advancing *step* seconds per reading (2 reads per unit)."""
-    counter = itertools.count()
-    return lambda: next(counter) * step
-
-
-def clock_from_unit_costs(costs):
-    """A clock scripting each unit's apparent cost, in execution order.
-
-    The backend reads the clock twice per unit (start/end); consecutive
-    reading pairs are given the costs in *costs*, then zero.
-    """
-    readings: list[float] = []
-    t = 0.0
-    for cost in costs:
-        readings.append(t)
-        t += cost
-        readings.append(t)
-    it = iter(readings)
-    return lambda: next(it, t)
-
-
 class TestResolveBackend:
     def test_names_resolve(self):
         assert isinstance(resolve_backend("inline"), InlineBackend)
-        assert isinstance(resolve_backend("thread", workers=3), ThreadBackend)
         assert isinstance(resolve_backend("process", workers=3),
                           ProcessBackend)
-        assert isinstance(resolve_backend("auto", workers=3), AutoBackend)
 
     def test_none_means_auto(self):
-        assert isinstance(resolve_backend(None, workers=2), AutoBackend)
+        assert isinstance(resolve_backend(None), InlineBackend)
+        assert isinstance(resolve_backend(None, workers=2), ProcessBackend)
+
+    def test_auto_is_inline_for_one_worker(self):
+        assert isinstance(resolve_backend("auto", workers=1), InlineBackend)
+
+    def test_auto_is_a_pool_of_the_workers(self):
+        resolved = resolve_backend("auto", workers=2)
+        assert isinstance(resolved, ProcessBackend)
+        assert resolved.workers == 2
 
     def test_workers_threaded_through(self):
         assert resolve_backend("process", workers=5).workers == 5
-        assert resolve_backend("thread", workers=5).workers == 5
 
     def test_instances_pass_through(self):
         backend = InlineBackend()
@@ -106,15 +73,25 @@ class TestResolveBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("gpu")
+        with pytest.raises(
+            ValueError, match="available: auto, inline, process$"
+        ):
+            resolve_backend("thread", workers=2)
+
+    def test_cli_rejects_the_thread_backend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--backend", "thread"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_backend_names_cover_the_builtins(self):
-        assert set(BACKEND_NAMES) == {"auto", "inline", "process", "thread"}
+        assert BACKEND_NAMES == ("auto", "inline", "process")
 
 
 class TestBackendEquivalence:
     def test_all_backends_byte_identical(self):
         baseline = run_units(units(), backend="inline").records
-        for name in ("thread", "process", "auto"):
+        for name in ("process", "auto"):
             report = run_units(units(), workers=2, backend=name)
             assert [r.canonical() for r in report.records] == [
                 r.canonical() for r in baseline
@@ -124,16 +101,13 @@ class TestBackendEquivalence:
         cache = ResultCache(tmp_path)
         first = run_units(units(), backend="inline", cache=cache)
         assert first.computed == len(units())
-        for name in ("thread", "process", "auto"):
+        for name in ("process", "auto"):
             rerun = run_units(units(), workers=2, backend=name, cache=cache)
             assert rerun.cache_hits == len(units())
             assert rerun.computed == 0
             assert [r.canonical() for r in rerun.records] == [
                 r.canonical() for r in first.records
             ]
-
-    def test_thread_backend_handles_empty_batch(self):
-        assert list(ThreadBackend(4).run([])) == []
 
     def test_process_backend_single_unit_stays_in_process(self):
         # One unit (or one worker) must not pay pool startup.
@@ -142,108 +116,19 @@ class TestBackendEquivalence:
         assert len(results) == 1 and results[0][0] == 0
 
 
-class TestAutoCalibration:
-    def test_fast_units_stay_inline(self):
-        fanout = RecordingBackend()
-        backend = AutoBackend(
-            workers=4, clock=fake_clock(0.0001), fanout=fanout
-        )
-        report = run_units(units(), backend=backend)
-        assert fanout.batches == []  # never fanned out
-        assert backend.describe() == "auto:inline"
-        assert "staying inline" in report.calibration
-        assert report.backend == "auto:inline"
-
-    def test_slow_units_fan_out(self):
-        fanout = RecordingBackend()
-        backend = AutoBackend(workers=4, clock=fake_clock(0.5), fanout=fanout)
-        batch = units()
-        report = run_units(batch, backend=backend)
-        # the probe runs inline, everything else goes to the fan-out
-        assert fanout.batches == [len(batch) - AutoBackend().probe]
-        assert backend.describe() == "auto:recording"
-        assert "→ recording" in report.calibration
-        assert len(report.records) == len(batch)
-
-    def test_single_worker_never_probes(self):
-        fanout = RecordingBackend()
-        backend = AutoBackend(workers=1, clock=fake_clock(9.9), fanout=fanout)
-        run_units(units(), backend=backend)
-        assert fanout.batches == []
-        assert "no fan-out possible" in backend.decision
-
-    def test_tiny_batches_skip_calibration(self):
-        fanout = RecordingBackend()
-        backend = AutoBackend(workers=4, clock=fake_clock(9.9), fanout=fanout)
-        report = run_units(units()[:2], backend=backend)
-        assert fanout.batches == []
-        assert "too few" in report.calibration
-
-    def test_slow_tail_re_escalates(self):
-        """A grid ordered cheapest-first must not fool the probe: the
-        first slow unit after an inline decision hands the rest over."""
-        fanout = RecordingBackend()
-        batch = units()
-        probe = AutoBackend().probe
-        # probe units and the next one look cheap, the following is slow
-        costs = [0.0001] * (probe + 1) + [5.0]
-        backend = AutoBackend(
-            workers=4, clock=clock_from_unit_costs(costs), fanout=fanout
-        )
-        report = run_units(batch, backend=backend)
-        # probe + 1 cheap + 1 slow ran inline; the rest were handed over
-        assert fanout.batches == [len(batch) - probe - 2]
-        assert "re-escalated" in report.calibration
-        assert report.backend == "auto:recording"
-        assert len(report.records) == len(batch)
-
-    def test_re_escalation_results_identical_to_inline(self):
-        fanout = RecordingBackend()
-        probe = AutoBackend().probe
-        backend = AutoBackend(
-            workers=4,
-            clock=clock_from_unit_costs([0.0001] * probe + [5.0]),
-            fanout=fanout,
-        )
-        records = run_units(units(), backend=backend).records
-        baseline = run_units(units(), backend="inline").records
-        assert [r.canonical() for r in records] == [
-            r.canonical() for r in baseline
-        ]
-
-    def test_calibration_results_identical_to_inline(self):
-        slow = AutoBackend(
-            workers=2, clock=fake_clock(0.5), fanout=RecordingBackend()
-        )
-        auto_records = run_units(units(), backend=slow).records
-        inline_records = run_units(units(), backend="inline").records
-        assert [r.canonical() for r in auto_records] == [
-            r.canonical() for r in inline_records
-        ]
-
-
 class TestReportSurface:
     def test_report_records_backend_and_decision(self):
         report = run_units(units()[:3], backend="inline")
         assert report.backend == "inline"
-        assert report.calibration == ""
         assert report.backend_line() == "backend: inline"
-
-    def test_backend_line_includes_calibration(self):
-        backend = AutoBackend(
-            workers=4, clock=fake_clock(0.0001), fanout=RecordingBackend()
-        )
-        report = run_units(units(), backend=backend)
-        line = report.backend_line()
-        assert line.startswith("backend: auto:inline [")
-        assert "ms/unit" in line
 
     def test_api_run_sweep_threads_backend(self, tmp_path):
         report = api.run_sweep(
-            GRID, backend="thread", workers=2,
+            GRID, backend="process", workers=2,
             cache=ResultCache(tmp_path),
         )
-        assert report.backend == "thread(workers=2)"
+        assert report.backend == "process(workers=2)"
+        assert report.backend_line() == "backend: process(workers=2)"
 
     def test_run_one_defaults_to_inline_resolution(self):
         record = api.run_one(

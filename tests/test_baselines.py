@@ -196,9 +196,3 @@ class TestComparisonMeasure:
             assert record.messages is not None
             assert (record.messages > 0) == expect_traffic
             assert record.has_optimum  # quality axes ride along
-
-    def test_preferred_backend_hint(self):
-        from repro.registry import get_measure
-
-        assert get_measure("comparison").preferred_backend == "inline"
-        assert get_measure("quality").preferred_backend == ""

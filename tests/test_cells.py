@@ -28,7 +28,7 @@ from repro.engine import (
     cache_key,
     run_units,
 )
-from repro.engine.backends import AutoBackend, ExecutionBackend, InlineBackend
+from repro.engine.backends import ExecutionBackend, InlineBackend
 from repro.engine.executor import execute_unit, execute_unit_instrumented
 from repro.engine.figures import figure_unit
 from repro.engine.measures import QualityMeasure
@@ -79,17 +79,6 @@ def builds(monkeypatch):
     return calls
 
 
-def fake_clock(costs):
-    """A clock that makes the i-th unit appear to take ``costs[i]``."""
-    readings: list[float] = []
-    t = 0.0
-    for cost in costs:
-        readings += [t, t + cost]
-        t += cost
-    it = iter(readings)
-    return lambda: next(it, t)
-
-
 class RecordingBackend(ExecutionBackend):
     """Inline execution that records the units it is handed."""
 
@@ -115,10 +104,11 @@ class PerUnitBackend(ExecutionBackend):
 
 
 class TestOneBuildPerCell:
-    @pytest.mark.parametrize("backend", ["inline", "thread", "auto"])
+    @pytest.mark.parametrize("backend", ["inline", "auto"])
     def test_build_runs_once_per_cell(self, builds, backend):
+        # One worker: "auto" runs inline, so every build happens here.
         units = scattered_units()
-        run_units(units, backend=backend, workers=2)
+        run_units(units, backend=backend)
         assert len(builds) == num_cells(units)
         assert set(builds) == {u.graph for u in units}
 
@@ -152,28 +142,6 @@ class TestOneBuildPerCell:
         assert canonical(report.records) == expected
         assert len(builds) == len(units)  # it just shares nothing
 
-    def test_auto_hands_the_rest_of_a_cell_to_the_fanout(self, builds):
-        """An escalation in the middle of a cell: the cell's remaining
-        units reach the fan-out as a smaller cell, built once more."""
-        units = grid_units()
-        probe = AutoBackend().probe
-        fanout = RecordingBackend()
-        # probe + 1 cheap units, then a slow one: the fifth unit, the
-        # middle of the second cell, re-escalates.
-        backend = AutoBackend(
-            workers=2,
-            clock=fake_clock([0.0001] * (probe + 1) + [5.0]),
-            fanout=fanout,
-        )
-        report = run_units(units, backend=backend)
-        (handed,) = fanout.handed
-        assert [index for index, _ in handed] == list(range(5, len(units)))
-        assert handed[0][1].graph == units[4].graph
-        assert len(builds) == num_cells(units) + 1
-        assert canonical(report.records) == canonical(
-            run_units(units, backend="inline").records
-        )
-
 
 class TestRecordsUnchanged:
     def mixed_units(self) -> list[JobSpec]:
@@ -196,7 +164,7 @@ class TestRecordsUnchanged:
             JobSpec("bounded_degree", g1, optimum="auto", label="again"),
         ]
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_records_byte_identical_to_one_unit_at_a_time(self, backend):
         units = self.mixed_units()
         expected = [execute_unit(u).to_json_dict() for u in units]

@@ -6,10 +6,7 @@ The acceptance criteria under test:
   produces a deterministic side-by-side table;
 * the table (records and CLI stdout) is byte-identical across
   backends, worker counts, and cached re-runs;
-* cache gc automation (`--cache-max-size`) evicts after the sweep;
-* ``Measure.preferred_backend`` steers the auto backend away from
-  calibration for comparison grids (and into fan-out for measures that
-  ask for it).
+* cache gc automation (`--cache-max-size`) evicts after the sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from repro.engine import (
     get_scenario,
     scenario_names,
 )
-from repro.engine.backends import AutoBackend, ExecutionBackend, InlineBackend
 from repro.experiments.compare import (
     COMPARE_ALGORITHMS,
     comparison_rows,
@@ -34,8 +30,6 @@ from repro.experiments.compare import (
     format_comparison,
     run_comparison,
 )
-from repro.registry import MEASURES
-from repro.registry.measures import Measure
 
 
 def small_units(**kwargs):
@@ -88,7 +82,7 @@ class TestDeterminism:
                 ("regular", "bounded"), (3,), (8,), 1,
                 backend=backend, workers=2,
             )
-            for backend in ("inline", "thread", "process", "auto")
+            for backend in ("inline", "process", "auto")
         }
         tables = {
             backend: format_comparison(outcome.rows)
@@ -224,97 +218,6 @@ class TestCacheGcAutomation:
         out = capsys.readouterr().out
         assert "cache gc: evicted" in out
         assert ResultCache(tmp_path).stats().total_bytes <= 1024
-
-
-class RecordingFanout(ExecutionBackend):
-    name = "recording"
-
-    def __init__(self):
-        self.batches: list[int] = []
-
-    def describe(self) -> str:
-        return "recording"
-
-    def run(self, pending):
-        self.batches.append(len(pending))
-        yield from InlineBackend().run(pending)
-
-
-class TestPreferredBackendHint:
-    def units(self, measure="comparison", count=8):
-        return [
-            (i, JobSpec(
-                "port_one", GraphSpec.make("regular", seed=i, d=3, n=8),
-                measure=measure, optimum="none",
-            ))
-            for i in range(count)
-        ]
-
-    def test_inline_hint_skips_calibration(self):
-        fanout = RecordingFanout()
-        backend = AutoBackend(workers=4, fanout=fanout)
-        results = list(backend.run(self.units()))
-        assert len(results) == 8
-        assert fanout.batches == []  # genuinely tiny units: no fan-out
-        assert backend.describe() == "auto:inline"
-        assert "measure hint" in backend.decision
-        assert "calibration skipped" in backend.decision
-
-    def test_inline_hint_keeps_reescalation_safety_net(self):
-        # The hint skips the probe, not the provisional clock: a unit
-        # that itself clears the threshold re-escalates the remainder.
-        counter = iter(range(10 ** 6))
-        fanout = RecordingFanout()
-        backend = AutoBackend(
-            workers=4, fanout=fanout,
-            clock=lambda: next(counter) * 1.0,  # every unit looks slow
-        )
-        results = list(backend.run(self.units()))
-        assert len(results) == 8
-        assert fanout.batches == [7]  # first unit inline, rest fan out
-        assert "measure hint" in backend.decision
-        assert "re-escalated" in backend.decision
-
-    def test_process_hint_fans_out_immediately(self):
-        class ProcessHungryMeasure(Measure):
-            name = "test_hint_process"
-            preferred_backend = "process"
-            check_feasible = False
-
-        with MEASURES.temporarily(
-            "test_hint_process", ProcessHungryMeasure()
-        ):
-            fanout = RecordingFanout()
-            backend = AutoBackend(workers=4, fanout=fanout)
-            results = list(backend.run(
-                self.units(measure="test_hint_process", count=5)
-            ))
-        assert len(results) == 5
-        assert fanout.batches == [5]
-        assert "measure hint" in backend.decision
-
-    def test_mixed_hints_fall_back_to_calibration(self):
-        mixed = self.units(count=3) + self.units(measure="quality", count=3)
-        backend = AutoBackend(workers=4)
-        results = list(backend.run([(i, u) for i, (_, u) in enumerate(mixed)]))
-        assert len(results) == 6
-        assert "measure hint" not in backend.decision
-
-    def test_hint_ignored_without_workers(self):
-        class ProcessHungryMeasure(Measure):
-            name = "test_hint_serial"
-            preferred_backend = "process"
-            check_feasible = False
-
-        with MEASURES.temporarily(
-            "test_hint_serial", ProcessHungryMeasure()
-        ):
-            backend = AutoBackend(workers=1)
-            results = list(backend.run(
-                self.units(measure="test_hint_serial", count=3)
-            ))
-        assert len(results) == 3
-        assert backend.describe() == "auto:inline"
 
 
 @pytest.mark.parametrize("algorithm", BASELINE_ALGORITHMS)

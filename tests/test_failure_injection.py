@@ -7,17 +7,23 @@ degraded-but-legal case (sends to halted nodes, silently dropped) is
 *observable*: the runtime reports delivered/dropped message counts
 through the telemetry recorder, identically on every engine.  A corrupt
 result-cache entry must cost a recomputation, never a wrong record or an
-aborted sweep.
+aborted sweep, and a killed pool worker must fail the sweep with a typed
+error instead of hanging it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import repro
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.executor import execute_unit, run_units
 from repro.engine.records import ResultRecord
@@ -312,3 +318,95 @@ class TestCacheReadValidation:
         data[field] = value
         with pytest.raises(TypeError, match=repr(field)):
             ResultRecord.from_json_dict(data)
+
+
+#: A measure that SIGKILLs the process running it on one chosen graph.
+KILLER_MODULE = """
+import os
+import signal
+
+from repro.registry.measures import Measure, register_measure
+
+
+@register_measure
+class KillsItsWorker(Measure):
+    name = "test_kills_worker"
+    check_feasible = False
+
+    def measure(self, graph, run):
+        if run.spec.graph.label() == os.environ.get("REPRO_TEST_KILL_LABEL"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {}
+"""
+
+#: Four one-unit cells on two workers; the third cell kills its worker.
+#: Prints what the sweep raised, the cache it left behind, a re-run
+#: without the killer, and the inline records, as one JSON object.
+CRASH_SCRIPT = """
+import json
+import os
+import sys
+
+import kill_worker_measure  # noqa: F401  (registers the measure)
+from repro.engine import GraphSpec, JobSpec, ResultCache, cache_key, run_units
+from repro.engine.executor import execute_unit
+
+units = [
+    JobSpec("port_one", GraphSpec.make("regular", seed=seed, d=3, n=10),
+            measure="test_kills_worker", optimum="none")
+    for seed in range(4)
+]
+killed = units[2].graph.label()
+cache = ResultCache(sys.argv[1])
+os.environ["REPRO_TEST_KILL_LABEL"] = killed
+try:
+    run_units(units, workers=2, backend="process", cache=cache)
+    error, message = None, ""
+except Exception as exc:
+    error, message = type(exc).__name__, str(exc)
+cached = {key: cache.get(key).to_json_dict() for key in cache.keys()}
+del os.environ["REPRO_TEST_KILL_LABEL"]
+rerun = run_units(units, workers=2, backend="process", cache=cache)
+print(json.dumps({
+    "error": error,
+    "message": message,
+    "killed": killed,
+    "killed_key": cache_key(units[2]),
+    "cached": cached,
+    "inline": {cache_key(u): execute_unit(u).to_json_dict() for u in units},
+    "rerun_computed": rerun.computed,
+    "rerun_hits": rerun.cache_hits,
+}))
+"""
+
+
+class TestWorkerCrash:
+    """A pool worker killed mid-sweep (the OOM killer's way) fails the
+    sweep with a typed error naming the lost cell; the cells that
+    finished are cached, and a re-run computes only the rest."""
+
+    def test_killed_worker_raises_instead_of_hanging(self, tmp_path):
+        (tmp_path / "kill_worker_measure.py").write_text(KILLER_MODULE)
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tmp_path), str(src), env.get("PYTHONPATH", "")]
+        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", CRASH_SCRIPT, str(tmp_path / "cache")],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the sweep hung after a pool worker was killed")
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.splitlines()[-1])
+        assert out["error"] == "WorkerCrashedError"
+        assert out["killed"] in out["message"]
+        cached = out["cached"]
+        assert out["killed_key"] not in cached
+        assert cached  # the cells that finished reached the cache
+        for key, record in cached.items():
+            assert record == out["inline"][key]
+        assert out["rerun_hits"] == len(cached)
+        assert out["rerun_computed"] == len(out["inline"]) - len(cached)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.executor import execute_unit, run_units
-from repro.engine.spec import GraphSpec, JobSpec
+from repro.engine.spec import JobSpec
 from repro.portgraph import PortGraphBuilder
 from repro.registry.algorithms import algorithm_names, get_algorithm
 from repro.registry.families import family_names, get_family
@@ -350,49 +350,3 @@ class TestCacheStability:
         assert [r.to_json_dict() for r in report.records] == [
             e["record"] for e in entries
         ]
-
-
-class TestThreadHintedMeasure:
-    """Satellite: ``comparison-mt`` gives ``preferred_backend="thread"``
-    its promised real consumer — the auto backend must actually pick the
-    thread pool, and results must match the inline run."""
-
-    def _units(self):
-        return [
-            JobSpec(
-                algorithm="port_one",
-                graph=GraphSpec.make("regular", d=3, n=10, seed=s),
-                measure="comparison-mt",
-            )
-            for s in range(3)
-        ]
-
-    def test_auto_selects_thread_backend(self):
-        report = run_units(self._units(), workers=2, backend="auto")
-        assert report.backend == "auto:thread(workers=2)"
-        assert "prefer thread" in report.calibration
-
-    def test_results_identical_to_inline(self):
-        threaded = run_units(self._units(), workers=2, backend="auto")
-        inline = run_units(self._units(), backend="inline")
-        assert [r.to_json_dict() for r in threaded.records] == [
-            r.to_json_dict() for r in inline.records
-        ]
-
-    def test_same_numbers_as_comparison_measure(self):
-        mt = run_units(self._units(), backend="inline").records
-        plain = run_units(
-            [
-                JobSpec(
-                    algorithm="port_one",
-                    graph=GraphSpec.make("regular", d=3, n=10, seed=s),
-                    measure="comparison",
-                )
-                for s in range(3)
-            ],
-            backend="inline",
-        ).records
-        for a, b in zip(mt, plain):
-            assert (a.solution_size, a.rounds, a.messages) == (
-                b.solution_size, b.rounds, b.messages
-            )

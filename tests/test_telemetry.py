@@ -199,7 +199,7 @@ class TestInstrumentedExecution:
         # Collection switch was restored afterwards.
         assert not collection_enabled()
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_aggregation_identical_across_backends(self, backend):
         """The process round-trip (telemetry serialised into the worker
         payload and back) must lose nothing: deterministic counters
