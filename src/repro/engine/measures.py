@@ -8,8 +8,7 @@ overrides).  The built-ins registered here are
 * ``quality`` — feasibility + approximation ratio against a chosen
   optimum policy (the workhorse of the sweeps);
 * ``comparison`` — quality plus a traced message count in one unit;
-  the measure of ``repro-eds compare`` grids, hinting ``inline``
-  scheduling to the auto backend;
+  the measure of ``repro-eds compare`` grids;
 * ``messages`` — message-complexity profiling via a traced run;
 * ``adversary`` — the Table 1 tightness confrontation on a lower-bound
   construction (custom execution);

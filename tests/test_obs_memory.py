@@ -119,8 +119,8 @@ class TestMemoryMeter:
         with recording(capture_memory=True) as outer:
             with span("outer_phase"):
                 pass
-            # A second recorder (thread backend scenario) can't get the
-            # meter; it must still record spans.
+            # A nested recorder can't get the meter; it must still
+            # record spans.
             with recording(capture_memory=True) as inner:
                 with span("inner_phase"):
                     pass
