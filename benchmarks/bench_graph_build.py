@@ -8,21 +8,26 @@ routed networkx → edge dicts → ``from_networkx`` →
 structured families replay the *same* numbering coins (byte-identical
 output, pinned by ``tests/test_direct_csr.py``), and the pairing-model
 ``pairing_regular`` family replaces networkx's regular sampler with an
-O(nd) streaming construction.
+O(nd) streaming construction.  Since then the ``regular`` family's
+default route draws its edges with an array replay of networkx's own
+sampler (byte-identical, pinned by ``tests/test_regular_replay.py``)
+and lowers them with the same numpy code as the structured families.
 
-This benchmark times both routes cold on the same cells, plus the
+This benchmark times both routes cold on the same cells — for the
+``regular`` rows the default array route against the forced-numbering
+networkx route, with ``pairing_regular`` alongside — plus the
 direct-only million-node cells that have no networkx counterpart worth
 waiting for.  Run as a script to emit the committed artifact::
 
-    PYTHONPATH=src python benchmarks/bench_graph_build.py \
+    PYTHONPATH=src:benchmarks python benchmarks/bench_graph_build.py \
         --out BENCH_graphbuild.json
 
 CI uploads the JSON as a build artifact; the committed copy records the
-container this PR was developed in.  The pytest entry points double as
-the perf gates (direct ≥ 5× over networkx on the d-regular slice —
-measured ≥ 16×; structured families ≥ 2× — they replay identical
-numbering coins, so the win is the dict walk only; n=10^6 build in
-seconds).
+machine it was last measured on.  The pytest entry points double as
+the perf gates (pairing ≥ 5× over networkx on a d-regular slice; the
+``regular`` array route ≥ 4× over networkx at d=4, n=16384; structured
+families ≥ 2× — they replay identical numbering coins, so the win is
+the dict walk only; n=10^6 build in seconds).
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ STRUCTURED = (
 )
 
 #: The d-regular slice that dominated xlarge-regular's graph_build
-#: phase: networkx's exact-uniform sampler vs the pairing model.
+#: phase: networkx's sampler on the networkx route, its array replay on
+#: the default route, and the pairing model.
 REGULAR = ((4, 4096), (4, 16384), (8, 16384))
 
 #: Direct-only million-node cells (the ``huge-regular`` scenario);
@@ -79,6 +85,11 @@ def _best_of(fn, reps=REPS) -> float:
     return best
 
 
+def _networkx_regular(d, n):
+    """``random_regular`` forced onto the networkx route."""
+    return random_regular(d, n, seed=SEED, numbering=random_numbering(SEED))
+
+
 def measure_units() -> dict:
     """Time every cell, both routes, cold each rep."""
     rows = []
@@ -95,18 +106,21 @@ def measure_units() -> dict:
             "speedup": round(nx_s / direct_s, 1),
         })
     for d, n in REGULAR:
-        direct_s = _best_of(lambda: pairing_regular(d, n, seed=SEED))
         # Forced numbering keeps this column on the networkx route;
-        # without one, random_regular lowers its ports straight to CSR.
-        nx_s = _best_of(lambda: random_regular(
-            d, n, seed=SEED, numbering=random_numbering(SEED)
-        ))
-        rows.append({
-            "unit": f"regular d={d} n={n}", "kind": "regular",
-            "n": n, "edges": n * d // 2,
-            "direct_s": round(direct_s, 6), "networkx_s": round(nx_s, 6),
-            "speedup": round(nx_s / direct_s, 1),
-        })
+        # without one, random_regular replays the sampler in arrays.
+        # The pairing row's speedup is against the same networkx time,
+        # which is recorded once, on the regular row.
+        nx_s = _best_of(lambda: _networkx_regular(d, n))
+        for kind, build in (("regular", random_regular),
+                            ("pairing", pairing_regular)):
+            direct_s = _best_of(lambda: build(d, n, seed=SEED))
+            rows.append({
+                "unit": f"{build.__name__} d={d} n={n}", "kind": kind,
+                "n": n, "edges": n * d // 2,
+                "direct_s": round(direct_s, 6),
+                "networkx_s": round(nx_s, 6) if kind == "regular" else None,
+                "speedup": round(nx_s / direct_s, 1),
+            })
     for d, n in HUGE:
         direct_s = _best_of(lambda: pairing_regular(d, n, seed=SEED), reps=1)
         rows.append({
@@ -115,19 +129,23 @@ def measure_units() -> dict:
             "direct_s": round(direct_s, 6), "networkx_s": None,
             "speedup": None,
         })
-    regular_speedups = [r["speedup"] for r in rows if r["kind"] == "regular"]
+    def speedups(kind):
+        return [r["speedup"] for r in rows if r["kind"] == kind]
+
     return {
         "benchmark": "graph construction: direct-to-CSR vs networkx (cold)",
         "reps_best_of": REPS,
         "units": rows,
         "summary": {
-            "min_regular_speedup": min(regular_speedups),
-            "max_regular_speedup": max(regular_speedups),
-            # The ISSUE acceptance line: graph_build on the
-            # xlarge-regular slice (d=4, n=16384) reduced ≥ 10×.
+            "min_regular_speedup": min(speedups("regular")),
+            "max_regular_speedup": max(speedups("regular")),
+            "min_pairing_speedup": min(speedups("pairing")),
+            "max_pairing_speedup": max(speedups("pairing")),
+            # graph_build of the xlarge-regular slice (d=4, n=16384),
+            # whose family is ``regular``: the array route's win.
             "xlarge_graph_build_speedup": next(
                 r["speedup"] for r in rows
-                if r["unit"] == "regular d=4 n=16384"
+                if r["unit"] == "random_regular d=4 n=16384"
             ),
             "max_direct_s_at_1m_nodes": max(
                 r["direct_s"] for r in rows if r["kind"] == "huge"
@@ -158,8 +176,10 @@ def format_table(payload: dict) -> str:
         )
     summary = payload["summary"]
     lines.append(
-        f"regular slice speedups: {summary['min_regular_speedup']:.1f}x – "
-        f"{summary['max_regular_speedup']:.1f}x; xlarge graph_build "
+        f"regular array route: {summary['min_regular_speedup']:.1f}x – "
+        f"{summary['max_regular_speedup']:.1f}x; pairing: "
+        f"{summary['min_pairing_speedup']:.1f}x – "
+        f"{summary['max_pairing_speedup']:.1f}x; xlarge graph_build "
         f"{summary['xlarge_graph_build_speedup']:.1f}x; worst n=10^6 build "
         f"{summary['max_direct_s_at_1m_nodes']:.2f}s"
     )
@@ -172,18 +192,32 @@ def format_table(payload: dict) -> str:
 
 
 def test_direct_beats_networkx_5x_on_regular_slice():
-    """CI gate: the ISSUE threshold on a d-regular slice.  Measured
-    16-19× in the development container; 5× leaves headroom for
+    """CI gate: pairing_regular against networkx on a d-regular slice.
+    Measured 15-19× on a 2-vCPU VM; 5× leaves headroom for
     shared-runner noise."""
     direct_s = _best_of(lambda: pairing_regular(4, 4096, seed=SEED))
-    nx_s = _best_of(lambda: random_regular(
-        4, 4096, seed=SEED, numbering=random_numbering(SEED)
-    ))
+    nx_s = _best_of(lambda: _networkx_regular(4, 4096))
     emit(
         f"graph-build gate d=4 n=4096: direct={direct_s * 1000:.1f} ms, "
         f"networkx={nx_s * 1000:.1f} ms ({nx_s / direct_s:.1f}x)"
     )
     assert nx_s / direct_s >= 5.0
+
+
+def test_regular_array_route_beats_networkx_4x():
+    """CI gate: the ``regular`` family's default route (the array
+    replay of networkx's sampler plus the numpy lowering) against its
+    forced networkx route, same edges and same bytes.  Measured 6-12×
+    on a 2-vCPU VM (2.1-2.7× when networkx drew the edges and a dict
+    pass lowered them)."""
+    direct_s = _best_of(lambda: random_regular(4, 16384, seed=SEED))
+    nx_s = _best_of(lambda: _networkx_regular(4, 16384))
+    emit(
+        f"graph-build regular d=4 n=16384: array route="
+        f"{direct_s * 1000:.1f} ms, networkx={nx_s * 1000:.1f} ms "
+        f"({nx_s / direct_s:.1f}x)"
+    )
+    assert nx_s / direct_s >= 4.0
 
 
 def test_structured_direct_wins_despite_identical_coins():

@@ -127,15 +127,11 @@ class BoundedDegreeEDS:
         from repro.algorithms.vector import (
             VectorAllEdges,
             VectorBoundedDegree,
+            require_max_degree,
         )
 
         if self.max_degree == 1:
-            for v in graph.nodes:
-                if graph.degree(v) > 1:
-                    raise AlgorithmContractError(
-                        f"node degree {graph.degree(v)} exceeds promised "
-                        f"bound Δ = {self.max_degree}"
-                    )
+            require_max_degree(graph.compiled().vector(), 1)
             return VectorAllEdges(graph)
         return VectorBoundedDegree(graph, self.max_degree, self.odd_delta)
 

@@ -64,9 +64,28 @@ __all__ = [
     "VectorGreedyMatchingIds",
     "VectorPortOne",
     "VectorRegularOdd",
+    "require_max_degree",
 ]
 
 _INF = (1 << 63) - 1
+
+
+def require_max_degree(vg, max_degree: int) -> None:
+    """The Δ contract: the compiled engine's error for the first node
+    (in node order) whose degree exceeds *max_degree*."""
+    over = np.flatnonzero(vg.degrees > max_degree)
+    if len(over):
+        raise AlgorithmContractError(
+            f"node degree {int(vg.degrees[over[0]])} exceeds promised "
+            f"bound Δ = {max_degree}"
+        )
+
+
+def _run_starts(values):
+    """Start index of each run of equal adjacent *values* (sorted)."""
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(head)
 
 
 def _owned(vg, ks, flags):
@@ -125,9 +144,8 @@ def _label_tables(vg):
     programs' ``port_for_pair`` dicts, with the same Lemma 2 violation
     check.
     """
-    cg = vg.cg
     try:
-        return cg.memo["vector_label"]
+        return vg.memo["vector_label"]
     except KeyError:
         pass
     total = vg.num_ports
@@ -141,10 +159,17 @@ def _label_tables(vg):
     hi = np.maximum(local, peer_local)
     width = int(hi.max()) + 1 if total else 1
     pair_key = (owner * width + lo) * width + hi
-    _, inverse, counts = np.unique(
-        pair_key, return_inverse=True, return_counts=True
-    )
-    unique_pair = counts[inverse] == 1
+    # A sort and an adjacent compare, not ``np.unique``: numpy 2.x's
+    # hash-based unique is several times slower on these keys.
+    order = np.argsort(pair_key, kind="stable")
+    ordered = pair_key[order]
+    repeated = np.zeros(total, dtype=bool)
+    if total > 1:
+        same = ordered[1:] == ordered[:-1]
+        repeated[1:] = same
+        repeated[:-1] |= same
+    unique_pair = np.empty(total, dtype=bool)
+    unique_pair[order] = ~repeated
     dn = vg.segment_min(np.where(unique_pair, local, _INF), _INF)
     dn_port = np.where(dn == _INF, -1, dn)
 
@@ -187,7 +212,7 @@ def _label_tables(vg):
         tag_g = tag_g[keep]
 
     tables = (dn_port, tag_k, tag_i, tag_j, tag_g)
-    cg.memo["vector_label"] = tables
+    vg.memo["vector_label"] = tables
     return tables
 
 
@@ -216,9 +241,9 @@ def _entry_groups(vg, ent_step, ent_k, ent_g, extra=()):
         ent_peer = np.where(keys[pos] == peer_keys, pos, -1)
     else:
         ent_peer = keys
-    steps, first = np.unique(ent_step, return_index=True)
+    first = _run_starts(ent_step)
     starts = np.append(first, len(ent_step))
-    return (steps, starts, ent_k, ent_g, ent_peer) + extra_sorted
+    return (ent_step[first], starts, ent_k, ent_g, ent_peer) + extra_sorted
 
 
 def _step_slice(steps, starts, step):
@@ -266,9 +291,8 @@ class _VectorLabelAware(VectorProgram):
 
 def _regular_odd_schedule(vg):
     """The two-phase pair schedule as grouped entry arrays, memoised."""
-    cg = vg.cg
     try:
-        return cg.memo["vector_regular_odd"]
+        return vg.memo["vector_regular_odd"]
     except KeyError:
         pass
     _, tag_k, tag_i, tag_j, tag_g = _label_tables(vg)
@@ -293,11 +317,12 @@ def _regular_odd_schedule(vg):
     order = np.lexsort((halt_k, halt_step))
     halt_k = halt_k[order]
     halt_step = halt_step[order]
-    halt_steps, first = np.unique(halt_step, return_index=True)
+    first = _run_starts(halt_step)
+    halt_steps = halt_step[first]
     halt_starts = np.append(first, len(halt_step))
 
     sched = groups + (halt_steps, halt_starts, halt_k)
-    cg.memo["vector_regular_odd"] = sched
+    vg.memo["vector_regular_odd"] = sched
     return sched
 
 
@@ -383,9 +408,8 @@ class VectorRegularOdd(_VectorLabelAware):
 
 def _bounded_schedule(vg, delta):
     """Phase lookup table + grouped phase-I entries for Δ' = *delta*."""
-    cg = vg.cg
     try:
-        return cg.memo["vector_bounded", delta]
+        return vg.memo["vector_bounded", delta]
     except KeyError:
         pass
     # step → ("I", pair) | ("II", stage, local) | ("III", local),
@@ -403,7 +427,7 @@ def _bounded_schedule(vg, delta):
     ent_step = (tag_i - 1) * delta + (tag_j - 1)
     groups = _entry_groups(vg, ent_step, tag_k, tag_g)
     memoed = (tuple(schedule), groups)
-    cg.memo["vector_bounded", delta] = memoed
+    vg.memo["vector_bounded", delta] = memoed
     return memoed
 
 
@@ -442,12 +466,7 @@ class VectorBoundedDegree(_VectorLabelAware):
     def __init__(
         self, graph: PortNumberedGraph, max_degree: int, odd_delta: int
     ) -> None:
-        for v in graph.nodes:
-            if graph.degree(v) > max_degree:
-                raise AlgorithmContractError(
-                    f"node degree {graph.degree(v)} exceeds promised bound "
-                    f"Δ = {max_degree}"
-                )
+        require_max_degree(graph.compiled().vector(), max_degree)
         super().__init__(graph)
         self.delta = odd_delta
         self.schedule, self._pairs = _bounded_schedule(self.vg, odd_delta)
@@ -655,12 +674,7 @@ class VectorDoubleCover(VectorProgram):
                  "_pending")
 
     def __init__(self, graph: PortNumberedGraph, max_degree: int) -> None:
-        for v in graph.nodes:
-            if graph.degree(v) > max_degree:
-                raise AlgorithmContractError(
-                    f"node degree {graph.degree(v)} exceeds promised bound "
-                    f"Δ = {max_degree}"
-                )
+        require_max_degree(graph.compiled().vector(), max_degree)
         super().__init__(graph)
         self.delta = max_degree
         vg = self.vg

@@ -99,7 +99,7 @@ def greedy_matching(vg, priority: np.ndarray) -> np.ndarray:
     return selected
 
 
-def _augment(vg, selected: np.ndarray) -> np.ndarray:
+def _augment(cg, selected: np.ndarray) -> np.ndarray:
     """Depth-bounded augmenting passes from the free vertices.
 
     The search walks the compiled ``array('q')`` tables plus an
@@ -108,7 +108,7 @@ def _augment(vg, selected: np.ndarray) -> np.ndarray:
     (vertices are never unmarked), which keeps the pass linear and the
     found paths pairwise vertex-disjoint.
     """
-    cg = vg.cg
+    vg = cg.vector()
     offsets, mate, owner = cg.offsets, cg.mate, cg.port_node
     peer = array("q", vg.peer_node.tobytes())
     mp_np = np.full(vg.num_nodes, -1, dtype=np.int64)
@@ -175,8 +175,9 @@ def primal_matching(graph: PortNumberedGraph, *, seed: int = 0) -> np.ndarray:
     every later scan follows node order.
     """
     graph.require_simple()
-    vg = graph.compiled().vector()
-    return _augment(vg, greedy_matching(vg, edge_priority(vg, seed)))
+    cg = graph.compiled()
+    vg = cg.vector()
+    return _augment(cg, greedy_matching(vg, edge_priority(vg, seed)))
 
 
 def primal_bound(graph: PortNumberedGraph, *, seed: int = 0) -> BoundResult:

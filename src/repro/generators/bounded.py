@@ -8,9 +8,9 @@ import networkx as nx
 
 from repro.exceptions import ConstructionError
 from repro.generators.direct import (
-    from_neighbour_lists,
-    grid_neighbours,
-    path_neighbours,
+    from_edge_arrays,
+    grid_edges,
+    path_edges,
 )
 from repro.portgraph.convert import from_networkx
 from repro.portgraph.graph import PortNumberedGraph
@@ -76,7 +76,7 @@ def path(
     if n < 1:
         raise ConstructionError("path needs n >= 1")
     if numbering is None:
-        return from_neighbour_lists(path_neighbours(n), seed)
+        return from_edge_arrays(n, *path_edges(n), seed)
     return _convert(nx.path_graph(n), numbering, seed)
 
 
@@ -89,7 +89,9 @@ def grid(
 ) -> PortNumberedGraph:
     """The rows x cols grid (max degree 4) — e.g. a sensor-field layout."""
     if numbering is None:
-        return from_neighbour_lists(grid_neighbours(rows, cols), seed)
+        return from_edge_arrays(
+            max(rows, 0) * max(cols, 0), *grid_edges(rows, cols), seed
+        )
     graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))
     return _convert(graph, numbering, seed)
 

@@ -1,12 +1,14 @@
-"""Direct-to-CSR builders for the structured graph families.
+"""Direct-to-CSR lowering: an edge list straight into compiled arrays.
 
 The networkx route (``nx.Graph`` → numbering strategy → neighbour-order
 dicts → ``from_neighbour_orders`` → ``CompiledGraph.__init__`` walking
-the involution dict) costs several dict passes per port.  For the
-*structured* families — cycles, grids, tori, hypercubes, complete and
-complete-bipartite graphs, paths — the neighbour sets are arithmetic,
-so this module computes the same port-numbered graph straight into the
-compiled CSR arrays and wraps them in an
+the involution dict) costs several dict passes per port.  When a
+generator already holds its edges as two int64 arrays — the structured
+families (cycles, grids, tori, hypercubes, complete and
+complete-bipartite graphs, paths), whose edges are arithmetic, and the
+array replay of networkx's regular sampler in
+:mod:`repro.generators.regular` — :func:`from_edge_arrays` numbers the
+ports with numpy sorts and wraps the compiled CSR arrays in an
 :class:`~repro.portgraph.arrays.ArrayGraph`.
 
 Byte-identity contract (pinned by ``tests/test_direct_csr.py``): for
@@ -27,153 +29,167 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Sequence
+
+import numpy as np
 
 from repro.portgraph.arrays import ArrayGraph
-from repro.portgraph.ports import Node
 
 __all__ = [
-    "from_neighbour_lists",
-    "cycle_neighbours",
-    "complete_neighbours",
-    "complete_bipartite_neighbours",
-    "path_neighbours",
-    "grid_neighbours",
-    "torus_neighbours",
-    "hypercube_neighbours",
+    "from_edge_arrays",
+    "cycle_edges",
+    "complete_edges",
+    "complete_bipartite_edges",
+    "path_edges",
+    "grid_edges",
+    "torus_edges",
+    "hypercube_edges",
 ]
 
+Edges = tuple[np.ndarray, np.ndarray]
 
-def from_neighbour_lists(
-    neighbour_lists: Sequence[Sequence[Node]],
+
+def _q(values: np.ndarray) -> array:
+    out = array("q")
+    out.frombytes(values.astype(np.int64, copy=False).tobytes())
+    return out
+
+
+def _repr_order(n: int) -> np.ndarray:
+    """``sorted(range(n), key=repr)`` as an int64 array.
+
+    Decimal strings compare like their digits right-padded with zeros
+    to a common width, a shorter string first on a tie (it is then a
+    prefix of the longer one).
+    """
+    labels = np.arange(n, dtype=np.int64)
+    lengths = np.ones(n, dtype=np.int64)
+    power = 10
+    while power < n:
+        lengths += labels >= power
+        power *= 10
+    width = int(lengths.max()) if n else 0
+    padded = labels * 10 ** (width - lengths)
+    return np.lexsort((lengths, padded))
+
+
+def from_edge_arrays(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
     seed: int | None = None,
 ) -> ArrayGraph:
-    """Build the port-numbered graph of a simple integer-labelled graph.
+    """Build the port-numbered graph of a simple graph on ``0..n-1``.
 
-    ``neighbour_lists[v]`` holds the (distinct) neighbours of node ``v``
-    for ``v = 0..n-1``; list order is irrelevant — ports are assigned by
-    the numbering conventions above, exactly as the networkx path would.
+    Edge ``e`` joins ``u[e]`` and ``v[e]``; edge order and orientation
+    are irrelevant — ports are assigned by the numbering conventions
+    above, exactly as the networkx path would.  The edges must be
+    distinct and loop-free.
     """
-    n = len(neighbour_lists)
-    order = sorted(range(n), key=repr)
-    rng = random.Random(seed) if seed is not None else None
-    ordered: list[list[Node]] = [[]] * n
-    for v in order:
-        nbrs = sorted(neighbour_lists[v], key=repr)
-        if rng is not None:
-            rng.shuffle(nbrs)
-        ordered[v] = nbrs
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    m = len(u)
+    total = 2 * m
+    order = _repr_order(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    # Port e is (u[e] → v[e]) and port m + e its reverse.
+    owner = rank[np.concatenate((u, v))]
+    peer = rank[np.concatenate((v, u))]
+    # Ports in node-rank order, each node's in neighbour-rank order.
+    perm = np.argsort(owner * n + peer)
+    degrees = np.bincount(owner, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
 
-    rank = [0] * n
-    for k, v in enumerate(order):
-        rank[v] = k
-    offsets = [0] * (n + 1)
-    total = 0
-    for k, v in enumerate(order):
-        offsets[k] = total
-        total += len(ordered[v])
-    offsets[n] = total
+    if seed is not None and total:
+        # The numbering coins: one shuffle per node, in rank order, on
+        # an index list of the node's degree — the same MT19937 draws
+        # as shuffling its repr-sorted neighbour list.
+        shuffle = random.Random(seed).shuffle
+        local: list[int] = []
+        extend = local.extend
+        for degree in degrees.tolist():
+            index = list(range(degree))
+            shuffle(index)
+            extend(index)
+        perm = perm[
+            np.repeat(offsets[:-1], degrees)
+            + np.array(local, dtype=np.int64)
+        ]
 
-    # ``gport[(u, v)]`` — the global port of u that points at v; one
-    # pass to index, one to wire the involution.
-    gport: dict[tuple[Node, Node], int] = {}
-    for v in range(n):
-        base = offsets[rank[v]]
-        for i, u in enumerate(ordered[v]):
-            gport[(v, u)] = base + i
-    mate = [0] * total
-    port_node = [0] * total
-    for v in range(n):
-        k = rank[v]
-        base = offsets[k]
-        for i, u in enumerate(ordered[v]):
-            g = base + i
-            mate[g] = gport[(u, v)]
-            port_node[g] = k
-
+    position = np.empty(total, dtype=np.int64)
+    position[perm] = np.arange(total, dtype=np.int64)
+    mate = position[np.where(perm < m, perm + m, perm - m)]
+    port_node = np.repeat(np.arange(n, dtype=np.int64), degrees)
     return ArrayGraph(
-        tuple(order),
-        tuple(len(ordered[v]) for v in order),
-        array("q", offsets),
-        array("q", mate),
-        array("q", port_node),
+        tuple(order.tolist()),
+        tuple(degrees.tolist()),
+        _q(offsets),
+        _q(mate),
+        _q(port_node),
         validate=False,
     )
 
 
 # ---------------------------------------------------------------------------
-# Neighbour arithmetic per family (labels match the networkx builders)
+# Edge arithmetic per family (labels match the networkx builders)
 # ---------------------------------------------------------------------------
 
 
-def cycle_neighbours(n: int) -> list[tuple[int, ...]]:
+def cycle_edges(n: int) -> Edges:
     """``nx.cycle_graph(n)`` for n >= 3."""
-    return [((v - 1) % n, (v + 1) % n) for v in range(n)]
+    u = np.arange(n, dtype=np.int64)
+    return u, (u + 1) % n
 
 
-def complete_neighbours(n: int) -> list[tuple[int, ...]]:
+def complete_edges(n: int) -> Edges:
     """``nx.complete_graph(n)``."""
-    return [
-        tuple(u for u in range(n) if u != v) for v in range(n)
-    ]
+    u, v = np.triu_indices(n, 1)
+    return u.astype(np.int64), v.astype(np.int64)
 
 
-def complete_bipartite_neighbours(a: int, b: int) -> list[tuple[int, ...]]:
+def complete_bipartite_edges(a: int, b: int) -> Edges:
     """``nx.complete_bipartite_graph(a, b)``: sides 0..a-1 and a..a+b-1."""
-    left = tuple(range(a))
-    right = tuple(range(a, a + b))
-    return [right] * a + [left] * b
+    u = np.repeat(np.arange(a, dtype=np.int64), b)
+    v = np.tile(np.arange(a, a + b, dtype=np.int64), a)
+    return u, v
 
 
-def path_neighbours(n: int) -> list[tuple[int, ...]]:
+def path_edges(n: int) -> Edges:
     """``nx.path_graph(n)`` for n >= 1."""
-    if n == 1:
-        return [()]
-    return [
-        tuple(
-            u for u in (v - 1, v + 1) if 0 <= u < n
-        )
-        for v in range(n)
-    ]
+    u = np.arange(n - 1, dtype=np.int64)
+    return u, u + 1
 
 
-def grid_neighbours(rows: int, cols: int) -> list[tuple[int, ...]]:
+def grid_edges(rows: int, cols: int) -> Edges:
     """``convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))``.
 
     Node ``(i, j)`` is visited in row-major order by networkx, so its
     integer label is ``i * cols + j``.
     """
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            nbrs = []
-            if i > 0:
-                nbrs.append((i - 1) * cols + j)
-            if i < rows - 1:
-                nbrs.append((i + 1) * cols + j)
-            if j > 0:
-                nbrs.append(i * cols + j - 1)
-            if j < cols - 1:
-                nbrs.append(i * cols + j + 1)
-            out.append(tuple(nbrs))
-    return out
+    label = np.arange(
+        max(rows, 0) * max(cols, 0), dtype=np.int64
+    ).reshape(max(rows, 0), max(cols, 0))
+    across = (label[:, :-1].ravel(), label[:, 1:].ravel())
+    down = (label[:-1, :].ravel(), label[1:, :].ravel())
+    return (
+        np.concatenate((across[0], down[0])),
+        np.concatenate((across[1], down[1])),
+    )
 
 
-def torus_neighbours(rows: int, cols: int) -> list[tuple[int, ...]]:
-    """The periodic grid, both sides >= 3 (no duplicate wrap neighbours)."""
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            out.append((
-                ((i - 1) % rows) * cols + j,
-                ((i + 1) % rows) * cols + j,
-                i * cols + (j - 1) % cols,
-                i * cols + (j + 1) % cols,
-            ))
-    return out
+def torus_edges(rows: int, cols: int) -> Edges:
+    """The periodic grid, both sides >= 3 (no duplicate wrap edges)."""
+    label = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    across = np.roll(label, -1, axis=1)
+    down = np.roll(label, -1, axis=0)
+    return (
+        np.concatenate((label.ravel(), label.ravel())),
+        np.concatenate((across.ravel(), down.ravel())),
+    )
 
 
-def hypercube_neighbours(dim: int) -> list[tuple[int, ...]]:
+def hypercube_edges(dim: int) -> Edges:
     """``convert_node_labels_to_integers(nx.hypercube_graph(dim))``.
 
     networkx labels are binary tuples in lexicographic order, so the
@@ -181,7 +197,9 @@ def hypercube_neighbours(dim: int) -> list[tuple[int, ...]]:
     first coordinate as the most significant bit; flipping any bit
     yields a neighbour.
     """
-    n = 1 << dim
-    return [
-        tuple(v ^ (1 << b) for b in range(dim)) for v in range(n)
-    ]
+    labels = np.arange(1 << dim, dtype=np.int64)
+    low = [labels[(labels >> b) & 1 == 0] for b in range(dim)]
+    return (
+        np.concatenate(low),
+        np.concatenate([w | (1 << b) for b, w in enumerate(low)]),
+    )

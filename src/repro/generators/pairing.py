@@ -1,13 +1,13 @@
 """Streaming pairing-model d-regular graphs, straight into CSR arrays.
 
-``nx.random_regular_graph`` (the ``regular`` family) builds adjacency
-dicts and then pays the full dict → port-numbering → compiled lowering
-pipeline; at n = 16384 that chain is ~80% of an xlarge unit's wall time
-(E22/E23).  This module generates a random d-regular graph by the
-configuration (pairing) model in ``O(nd)``: throw ``n·d`` stubs into a
-uniformly random perfect pairing, then repair the handful of self-loops
-and parallel edges by degree-preserving edge switches instead of
-resampling the whole pairing.
+The ``regular`` family draws the edges networkx's Steger–Wormald
+sampler draws (replayed in arrays since E30), so it pays one Python
+shuffle draw per stub for every pairing round and every restart, plus
+one numbering shuffle per node.  This module generates a random
+d-regular graph by the configuration (pairing) model in ``O(nd)``:
+throw ``n·d`` stubs into a uniformly random perfect pairing, then repair
+the handful of self-loops and parallel edges by degree-preserving edge
+switches instead of resampling the whole pairing.
 
 The stub layout *is* the port numbering — stub ``i`` of node ``u`` is
 port ``i + 1`` attached at global index ``u·d + i`` — so the pairing is
@@ -25,8 +25,8 @@ graph, so the output bytes are pinned per ``(d, n, seed)`` by
 Caveat: switch-repair conditions the pairing on simplicity, so the
 distribution is the configuration model conditioned on simple outcomes
 (asymptotically uniform over d-regular graphs for fixed d) — not the
-exact uniform sampler ``nx.random_regular_graph`` implements.  The
-``regular`` family is unchanged for anyone who needs that.
+distribution of ``nx.random_regular_graph``.  The ``regular`` family
+keeps networkx's graphs for anyone who needs those.
 """
 
 from __future__ import annotations

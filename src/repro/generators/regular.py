@@ -1,17 +1,32 @@
-"""Regular graph families used as workloads by the evaluation harness."""
+"""Regular graph families used as workloads by the evaluation harness.
+
+Without an explicit ``numbering=`` every family here except
+``circulant`` and ``petersen`` lowers its edges straight to CSR arrays
+(:func:`repro.generators.direct.from_edge_arrays`).
+``random_regular`` draws those edges with an array replay of
+networkx's ``random_regular_graph`` sampler (:func:`_regular_edges`):
+the same ``random.Random(seed)``, the same ``shuffle`` of the same stub
+lists, the same restarts, so the edge set — and with it every record
+and cache entry — is the one networkx draws.  The ``numbering=`` route
+still calls networkx and is the replay's oracle in the tests.
+"""
 
 from __future__ import annotations
 
+import random
+from typing import Callable
+
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import ConstructionError
 from repro.generators.direct import (
-    complete_bipartite_neighbours,
-    complete_neighbours,
-    cycle_neighbours,
-    from_neighbour_lists,
-    hypercube_neighbours,
-    torus_neighbours,
+    complete_bipartite_edges,
+    complete_edges,
+    cycle_edges,
+    from_edge_arrays,
+    hypercube_edges,
+    torus_edges,
 )
 from repro.portgraph.convert import from_networkx
 from repro.portgraph.graph import PortNumberedGraph
@@ -45,23 +60,138 @@ def _convert(
     return from_networkx(graph, strategy)
 
 
+# ---------------------------------------------------------------------------
+# networkx's Steger–Wormald sampler, replayed in arrays
+# ---------------------------------------------------------------------------
+
+
+class _EdgeKeys:
+    """Membership of ``(s1, s2)`` (``s1 < s2``) in sorted edge keys
+    ``s1 * n + s2``."""
+
+    __slots__ = ("keys", "n")
+
+    def __init__(self, keys: np.ndarray, n: int) -> None:
+        self.keys = keys
+        self.n = n
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        key = pair[0] * self.n + pair[1]
+        at = int(np.searchsorted(self.keys, key))
+        return at < len(self.keys) and int(self.keys[at]) == key
+
+
+def _suitable(edges, potential_edges):
+    # networkx's helper, verbatim: the inner loop rebinds the outer
+    # ``s1`` on a swap, which decides some restarts on small dense
+    # graphs, so a plain "any non-edge pair" test draws other graphs.
+    if not potential_edges:
+        return True
+    for s1 in potential_edges:
+        for s2 in potential_edges:
+            # Two iterators on the same dictionary are guaranteed
+            # to visit it in the same order if there are no
+            # intervening modifications.
+            if s1 == s2:
+                # Only need to consider s1-s2 pair one time
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _first_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, head)``: a stable sort of *values* and, in sorted
+    order, the flags of each run's first element (its first
+    appearance)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    head = np.ones(len(ordered), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return order, head
+
+
+def _try_creation(
+    d: int, n: int, shuffle: Callable[[list], None]
+) -> np.ndarray | None:
+    """One attempt: sorted edge keys ``lo * n + hi``, or ``None``."""
+    keys = np.zeros(0, dtype=np.int64)
+    stubs = list(range(n)) * d
+    while stubs:
+        shuffle(stubs)
+        pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+        lo = pairs.min(axis=1)
+        hi = pairs.max(axis=1)
+        key = lo * n + hi
+        # A pair becomes an edge on its first appearance in the round
+        # unless it is a loop or an edge of an earlier round.
+        order, head = _first_runs(key)
+        fresh = order[head]
+        fresh = fresh[lo[fresh] != hi[fresh]]
+        if len(keys):
+            at = np.minimum(np.searchsorted(keys, key[fresh]), len(keys) - 1)
+            fresh = fresh[keys[at] != key[fresh]]
+        rejected = np.ones(len(key), dtype=bool)
+        rejected[fresh] = False
+        new = np.sort(key[fresh])
+        keys = np.insert(keys, np.searchsorted(keys, new), new)
+        # ``potential_edges``: each endpoint of a rejected pair, counted
+        # in order of first appearance (low end before high end).
+        ends = np.column_stack((lo[rejected], hi[rejected])).ravel()
+        order, head = _first_runs(ends)
+        starts = np.flatnonzero(head)
+        counts = np.diff(np.append(starts, len(ends)))
+        by_first = np.argsort(order[starts])
+        potential = ends[order[starts]][by_first]
+        if not _suitable(_EdgeKeys(keys, n), potential.tolist()):
+            return None
+        stubs = np.repeat(potential, counts[by_first]).tolist()
+    return keys
+
+
+def _regular_edges(
+    d: int, n: int, shuffle: Callable[[list], None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``nx.random_regular_graph(d, n, seed)`` draws, as two
+    int64 arrays, given that seed's ``shuffle``.
+
+    Each round shuffles the remaining stubs and pairs them off; pairs
+    that would repeat an edge or form a loop return their stubs for the
+    next round, and an attempt whose leftovers cannot all be placed
+    starts over on the same random stream.
+    """
+    keys = _try_creation(d, n, shuffle)
+    while keys is None:
+        keys = _try_creation(d, n, shuffle)
+    return keys // n, keys % n
+
+
 def random_regular(
     d: int,
     n: int,
     *,
-    seed: int = 0,
+    seed: int | None = 0,
     numbering: NumberingStrategy | None = None,
 ) -> PortNumberedGraph:
-    """A uniformly random simple d-regular graph on n nodes."""
-    if n * d % 2 or n <= d:
+    """A random simple d-regular graph on n nodes.
+
+    The edges are ``nx.random_regular_graph(d, n, seed=seed)``'s
+    (Steger–Wormald pairing, asymptotically uniform for small d);
+    ``seed=None`` draws them from the module-level ``random`` instance,
+    as networkx does.
+    """
+    if d < 0 or n * d % 2 or n <= d:
         raise ConstructionError(
-            f"no d-regular graph with d={d}, n={n} (need n > d, n*d even)"
+            f"no d-regular graph with d={d}, n={n} "
+            "(need 0 <= d < n, n*d even)"
         )
-    graph = nx.random_regular_graph(d, n, seed=seed)
     if numbering is None:
-        # networkx only draws the edges; the ports go straight to CSR.
-        return from_neighbour_lists([graph.adj[v] for v in range(n)], seed)
-    return _convert(graph, numbering, seed)
+        rng = random if seed is None else random.Random(seed)
+        u, v = _regular_edges(d, n, rng.shuffle)
+        return from_edge_arrays(n, u, v, seed)
+    return _convert(nx.random_regular_graph(d, n, seed=seed), numbering, seed)
 
 
 def cycle(
@@ -74,7 +204,7 @@ def cycle(
     if n < 3:
         raise ConstructionError(f"cycle needs n >= 3, got {n}")
     if numbering is None:
-        return from_neighbour_lists(cycle_neighbours(n), seed)
+        return from_edge_arrays(n, *cycle_edges(n), seed)
     return _convert(nx.cycle_graph(n), numbering, seed)
 
 
@@ -88,7 +218,7 @@ def complete(
     if n < 2:
         raise ConstructionError(f"complete graph needs n >= 2, got {n}")
     if numbering is None:
-        return from_neighbour_lists(complete_neighbours(n), seed)
+        return from_edge_arrays(n, *complete_edges(n), seed)
     return _convert(nx.complete_graph(n), numbering, seed)
 
 
@@ -103,8 +233,8 @@ def complete_bipartite(
     if a < 1 or b < 1:
         raise ConstructionError("both sides need at least one node")
     if numbering is None:
-        return from_neighbour_lists(
-            complete_bipartite_neighbours(a, b), seed
+        return from_edge_arrays(
+            a + b, *complete_bipartite_edges(a, b), seed
         )
     return _convert(nx.complete_bipartite_graph(a, b), numbering, seed)
 
@@ -131,7 +261,7 @@ def hypercube(
     if dim < 1:
         raise ConstructionError(f"hypercube needs dim >= 1, got {dim}")
     if numbering is None:
-        return from_neighbour_lists(hypercube_neighbours(dim), seed)
+        return from_edge_arrays(1 << dim, *hypercube_edges(dim), seed)
     graph = nx.convert_node_labels_to_integers(nx.hypercube_graph(dim))
     return _convert(graph, numbering, seed)
 
@@ -147,7 +277,9 @@ def torus(
     if rows < 3 or cols < 3:
         raise ConstructionError("torus needs both sides >= 3")
     if numbering is None:
-        return from_neighbour_lists(torus_neighbours(rows, cols), seed)
+        return from_edge_arrays(
+            rows * cols, *torus_edges(rows, cols), seed
+        )
     graph = nx.convert_node_labels_to_integers(
         nx.grid_2d_graph(rows, cols, periodic=True)
     )

@@ -2,9 +2,9 @@
 
 :class:`ArrayGraph` is a :class:`~repro.portgraph.graph.PortNumberedGraph`
 built *from* the compiled CSR arrays instead of lowering *to* them: a
-generator that already knows the flat layout (the structured families in
-:mod:`repro.generators.direct`, the pairing-model ``pairing_regular``)
-hands over ``offsets``/``mate``/``port_node`` and skips both the
+generator that already knows the flat layout (the structured families
+and the ``regular`` family, lowered by :mod:`repro.generators.direct`;
+the pairing-model ``pairing_regular``) hands over ``offsets``/``mate``/``port_node`` and skips both the
 ``dict[Port, Port]`` involution walk and ``CompiledGraph.__init__``.
 
 The dict views of the base class (``_degrees``, ``_p``, the edge tuple)
@@ -16,8 +16,8 @@ straight from the arrays, so a million-node graph never pays for the
 per-port tuple dictionaries unless something genuinely asks for them.
 
 Node order is the *builder's* construction order (``nodes`` as passed),
-not the base class's repr-sort: the structured builders pass repr-sorted
-nodes so they stay byte-identical to the networkx path, while
+not the base class's repr-sort: the edge-array lowering passes
+repr-sorted nodes so it stays byte-identical to the networkx path, while
 ``pairing_regular`` uses numeric order because its port numbering is the
 stub layout itself.
 """
@@ -85,7 +85,7 @@ class ArrayGraph(PortNumberedGraph):
         self._nodes = nodes
         self._hash = None
         self._compiled = CompiledGraph.from_arrays(
-            self, nodes, degrees, offsets, mate, port_node
+            nodes, degrees, offsets, mate, port_node
         )
         # ``_degrees``, ``_p``, ``_edges`` and ``_edge_at`` stay unset:
         # ``__getattr__`` materialises them on first touch.

@@ -54,7 +54,6 @@ class CompiledGraph:
     """
 
     __slots__ = (
-        "graph",
         "nodes",
         "node_index",
         "num_nodes",
@@ -64,10 +63,10 @@ class CompiledGraph:
         "mate",
         "port_node",
         "memo",
+        "_vector",
     )
 
     def __init__(self, graph: PortNumberedGraph) -> None:
-        self.graph = graph
         nodes = graph.nodes
         self.nodes = nodes
         n = len(nodes)
@@ -106,11 +105,11 @@ class CompiledGraph:
         #: list forms of ``mate``/``port_node`` are seeded from the
         #: construction intermediates.
         self.memo: dict = {"flat_lists": (mate_list, port_owner)}
+        self._vector = None
 
     @classmethod
     def from_arrays(
         cls,
-        graph,
         nodes: tuple[Node, ...],
         degrees: tuple[int, ...],
         offsets: array,
@@ -123,9 +122,7 @@ class CompiledGraph:
         know the flat layout (``repro.generators.direct``,
         ``pairing_regular``) hand the arrays over without ever
         materialising the ``dict[Port, Port]`` involution that
-        ``__init__`` would walk.  *graph* is the owning
-        :class:`~repro.portgraph.arrays.ArrayGraph` view (may be filled
-        in by the caller immediately after construction).
+        ``__init__`` would walk.
 
         Arrays must be ``array('q')`` — the buffer-protocol contract the
         vector engine's zero-copy views rely on.  Structural validity
@@ -133,7 +130,6 @@ class CompiledGraph:
         :class:`ArrayGraph` constructor validates by default.
         """
         self = object.__new__(cls)
-        self.graph = graph
         self.nodes = tuple(nodes)
         n = len(self.nodes)
         self.num_nodes = n
@@ -147,20 +143,23 @@ class CompiledGraph:
         # seed ``flat_lists`` from; the list forms materialise lazily on
         # first use by the compiled per-node loop.
         self.memo = {}
+        self._vector = None
         return self
 
     def vector(self):
-        """The numpy struct-of-arrays view of this graph, memoised."""
-        try:
-            return self.memo["vector_graph"]
-        except KeyError:
+        """The numpy struct-of-arrays view of this graph, memoised.
+
+        Kept in its own slot, not in :attr:`memo`: the view shares the
+        memo dict, so storing it there would make a reference cycle and
+        leave a dropped graph to the cyclic collector.
+        """
+        if self._vector is None:
             from repro.obs.spans import span
             from repro.portgraph.vector import VectorGraph
 
             with span("graph_build:vector_view", n=self.num_nodes):
-                vg = VectorGraph(self)
-            self.memo["vector_graph"] = vg
-            return vg
+                self._vector = VectorGraph(self)
+        return self._vector
 
     def flat_lists(self) -> tuple[list, list]:
         """``(mate, port_node)`` as plain lists, memoised.

@@ -7,9 +7,9 @@ vector engine (:mod:`repro.runtime.vector`) wants the same tables as
 whole-graph array operations — messages gathered through the involution
 with a single fancy-index, per-node state reduced over CSR segments
 with ``reduceat``.  :class:`VectorGraph` is that view: derived once per
-compiled graph and memoised alongside the other derived tables
-(``CompiledGraph.memo``), so repeated runs share it exactly like the
-vector kernels share their schedules.
+compiled graph and memoised on it (``CompiledGraph.vector``), so
+repeated runs share it exactly like the vector kernels share their
+schedules, which they keep in the compiled graph's ``memo``.
 """
 
 from __future__ import annotations
@@ -44,10 +44,13 @@ class VectorGraph:
     all_ports:
         ``np.arange(num_ports)`` — the identity send list of a total
         broadcast round.
+    memo:
+        The compiled graph's ``memo`` dict, where kernels keep their
+        derived schedules.
     """
 
     __slots__ = (
-        "cg",
+        "memo",
         "num_nodes",
         "num_ports",
         "offsets",
@@ -63,7 +66,10 @@ class VectorGraph:
     )
 
     def __init__(self, cg: "CompiledGraph") -> None:
-        self.cg = cg
+        # The compiled graph's memo, not the compiled graph: kernels
+        # memoise their schedules there, and a back-reference would
+        # make a cycle (the compiled graph holds this view).
+        self.memo = cg.memo
         n = cg.num_nodes
         total = cg.num_ports
         self.num_nodes = n

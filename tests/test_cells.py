@@ -180,14 +180,19 @@ class TestRecordsUnchanged:
         assert rerun.cache_hits == len(units)
 
 
-def live_graphs(ids: set[int]) -> list[PortNumberedGraph]:
-    """The reachable graphs among *ids* (``ArrayGraph`` has no weakref
-    slot, so look for them on the collector's list)."""
-    gc.collect()
+def tracked_graphs(ids: set[int]) -> list[PortNumberedGraph]:
+    """The graphs among *ids* still on the collector's list
+    (``ArrayGraph`` has no weakref slot, so look for them there)."""
     return [
         obj for obj in gc.get_objects()
         if isinstance(obj, PortNumberedGraph) and id(obj) in ids
     ]
+
+
+def live_graphs(ids: set[int]) -> list[PortNumberedGraph]:
+    """The reachable graphs among *ids*."""
+    gc.collect()
+    return tracked_graphs(ids)
 
 
 class TestGraphLifetime:
@@ -210,6 +215,41 @@ class TestGraphLifetime:
         assert len(report.records) == len(units)
         assert alive_at_build == [0] * num_cells(units)
         assert live_graphs(built) == []
+
+    def test_graphs_freed_by_refcount(self, monkeypatch):
+        """A cell's graph, its compiled form and the vector view are
+        freed when the cell ends, without waiting for the collector:
+        nothing on them points back at what holds them."""
+        built: set[int] = set()
+        uncollected_at_build: list[int] = []
+        original = GraphSpec.build
+
+        def build(self):
+            uncollected_at_build.append(len(tracked_graphs(built)))
+            graph = original(self)
+            built.add(id(graph))
+            return graph
+
+        monkeypatch.setattr(GraphSpec, "build", build)
+        # The regular cells build arrays directly; the bounded ones take
+        # the networkx route and a dict-built compiled form.
+        units = scattered_units() + [
+            JobSpec(algorithm, GraphSpec.make(
+                "bounded", seed=seed, n=12, max_degree=3
+            ), optimum="none")
+            for seed in (1, 2)
+            for algorithm in ("port_one", "bounded_degree")
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_units(units, backend="inline")
+            uncollected = tracked_graphs(built)
+        finally:
+            gc.enable()
+        assert len(report.records) == len(units)
+        assert uncollected_at_build == [0] * num_cells(units)
+        assert uncollected == []
 
 
 class TestExactOptimumOncePerCell:

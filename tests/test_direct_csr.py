@@ -1,9 +1,10 @@
 """Differential tests for the direct-to-CSR construction path.
 
 The structured families (`cycle`, `complete`, `complete_bipartite`,
-`hypercube`, `torus`, `path`, `grid`) and the networkx-drawn
-`random_regular` build compiled arrays directly when no explicit
-numbering is requested.  That fast path must be
+`hypercube`, `torus`, `path`, `grid`) and `random_regular` build
+compiled arrays directly when no explicit numbering is requested: their
+edges (for `random_regular`, the array replay of networkx's sampler)
+are lowered with numpy.  That fast path must be
 **byte-identical** to the historical networkx route: same node order,
 same port assignment, same canonical edge order, same compiled arrays,
 same cache keys and record bytes.  These tests pin that contract, plus
@@ -136,8 +137,9 @@ class TestStructuredFamilyByteIdentity:
 
     @pytest.mark.parametrize("d,n", [(3, 10), (4, 16), (5, 32), (8, 64)])
     def test_random_regular_matches_networkx(self, d, n):
-        """networkx still draws the edges; only the ports skip the
-        ``from_networkx`` dict route."""
+        """The array replay draws networkx's edges and the numpy
+        lowering numbers the ports as the ``from_networkx`` dict route
+        does."""
         for seed in (0, 7, 12345):
             direct = random_regular(d, n, seed=seed)
             assert isinstance(direct, ArrayGraph)
@@ -219,7 +221,7 @@ class TestArrayGraphValidation:
         c = graph.compiled()
         return (
             tuple(c.nodes),
-            tuple(c.graph.degrees[v] for v in c.nodes),
+            tuple(graph.degree(v) for v in c.nodes),
             array("q", c.offsets),
             array("q", c.mate),
             array("q", c.port_node),

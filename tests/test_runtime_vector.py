@@ -15,8 +15,11 @@ import logging
 
 import pytest
 
+from repro.algorithms.bounded_degree import BoundedDegreeEDS
+from repro.algorithms.double_cover import DominatingTwoMatching
 from repro.algorithms.maximal_matching_ids import GreedyMaximalMatchingIds
 from repro.algorithms.port_one import PortOneEDS
+from repro.exceptions import AlgorithmContractError
 from repro.obs import recording
 from repro.obs.spans import span
 from repro.portgraph import PortGraphBuilder
@@ -93,7 +96,7 @@ class TestVectorGraphView:
         graph = small_regular()
         cg = graph.compiled()
         assert cg.vector() is cg.vector()
-        assert cg.memo["vector_graph"] is cg.vector()
+        assert cg.vector().memo is cg.memo
 
     def test_csr_views_match_flat_arrays(self):
         import numpy as np
@@ -148,6 +151,39 @@ class TestVectorGraphView:
                 for k in range(vg.num_nodes)
             ]
             assert list(vg.segment_min(values, empty=-1)) == expected
+
+
+def _two_hubs():
+    """Node 0 (degree 3) is the first over Δ ∈ {1, 2}; node 4 (degree
+    5) has the larger excess."""
+    import networkx as nx
+
+    from repro.portgraph.convert import from_networkx
+    from repro.portgraph.numbering import sequential_numbering
+
+    graph = nx.Graph([(0, 1), (0, 2), (0, 3)])
+    graph.add_edges_from((4, v) for v in range(5, 10))
+    return from_networkx(graph, sequential_numbering)
+
+
+class TestContractErrorsMatchCompiled:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: BoundedDegreeEDS(max_degree=1),
+            lambda: BoundedDegreeEDS(max_degree=2),
+            lambda: DominatingTwoMatching(max_degree=2),
+        ],
+        ids=["all_edges", "bounded_degree", "double_cover"],
+    )
+    def test_same_error_as_compiled(self, factory):
+        messages = []
+        for engine in ("compiled", "vector"):
+            with pytest.raises(AlgorithmContractError) as caught:
+                run_anonymous(_two_hubs(), factory(), engine=engine)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("node degree 3 exceeds")
 
 
 class TestBoundedMixedAgreesWithCompiled:
