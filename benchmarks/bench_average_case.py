@@ -11,36 +11,34 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.runner import run_on, standard_algorithms
+from repro import api
 from repro.experiments.sweeps import average_case_sweep, format_average_case
-from repro.generators import random_bounded_degree, random_regular
 
 from conftest import emit
 
 
 @pytest.mark.parametrize("name", ["port_one", "bounded_degree", "ids_greedy"])
 def test_single_run_regular(benchmark, name):
-    graph = random_regular(4, 12, seed=4)
-    spec = standard_algorithms()[name]
-    row = benchmark(run_on, spec, graph, graph_label="d=4 n=12")
-    assert row.ratio >= 1
+    graph = api.graph("regular", seed=4, d=4, n=12)
+    record = benchmark(api.run_one, name, graph, label="d=4 n=12")
+    assert record.ratio >= 1
 
 
 @pytest.mark.parametrize("name", ["regular_odd", "bounded_degree"])
 def test_single_run_odd_regular(benchmark, name):
-    graph = random_regular(3, 12, seed=3)
-    spec = standard_algorithms()[name]
-    row = benchmark(run_on, spec, graph, graph_label="d=3 n=12")
-    assert row.ratio >= 1
+    graph = api.graph("regular", seed=3, d=3, n=12)
+    record = benchmark(api.run_one, name, graph, label="d=3 n=12")
+    assert record.ratio >= 1
 
 
 @pytest.mark.parametrize("delta", (3, 4))
 def test_single_run_bounded(benchmark, delta):
-    graph = random_bounded_degree(12, delta, seed=delta)
-    spec = standard_algorithms()["bounded_degree"]
-    row = benchmark(run_on, spec, graph, graph_label=f"Δ={delta}")
+    graph = api.graph("bounded", seed=delta, n=12, max_degree=delta)
+    record = benchmark(
+        api.run_one, "bounded_degree", graph, label=f"Δ={delta}"
+    )
     k = max(delta, 2) // 2
-    assert row.ratio <= Fraction(4) - Fraction(1, k)
+    assert record.ratio <= Fraction(4) - Fraction(1, k)
 
 
 def test_print_sweep(benchmark):

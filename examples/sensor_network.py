@@ -19,41 +19,31 @@ Run with::
 
 from __future__ import annotations
 
-from repro import (
-    BoundedDegreeEDS,
-    GreedyMaximalMatchingIds,
-    is_edge_dominating_set,
-    run_anonymous,
-    run_identified,
-)
-from repro.analysis import measure_ratio
-from repro.generators import grid
+from repro import api
 
 
 def monitor_field(rows: int, cols: int) -> None:
-    field = grid(rows, cols, seed=42)
-    delta = field.max_degree  # 4 for interior sensors
-    print(f"\nsensor field {rows}x{cols}: {field.num_nodes} sensors, "
-          f"{field.num_edges} radio links, max degree {delta}")
+    field = api.graph("grid", seed=42, rows=rows, cols=cols)
 
-    # Anonymous deployment: A(Δ) needs only the degree promise.
-    anonymous = run_anonymous(field, BoundedDegreeEDS(delta))
-    monitored = anonymous.edge_set()
-    assert is_edge_dominating_set(field, monitored)
-    report = measure_ratio(field, monitored, exact_edge_limit=40)
-    bound_kind = "optimum" if report.exact else "lower bound"
-    print(f"  anonymous A({delta}):   {len(monitored):3d} monitored links, "
-          f"{anonymous.rounds} rounds; {bound_kind} {report.optimum} "
-          f"-> ratio <= {float(report.ratio):.3f}")
+    # Anonymous deployment: A(Δ) needs only the degree promise (Δ = 4
+    # for interior sensors).  The engine runs it, checks that the
+    # monitored links form an edge dominating set, and measures them
+    # against the optimum (exact on small fields, a lower bound beyond).
+    anonymous = api.run_one("bounded_degree", field, exact_edge_limit=40)
+    delta = anonymous.max_degree
+    print(f"\nsensor field {rows}x{cols}: {anonymous.num_nodes} sensors, "
+          f"{anonymous.num_edges} radio links, max degree {delta}")
+    bound_kind = "optimum" if anonymous.optimum_exact else "lower bound"
+    print(f"  anonymous A({delta}):   {anonymous.solution_size:3d} monitored "
+          f"links, {anonymous.rounds} rounds; {bound_kind} "
+          f"{anonymous.optimum} -> ratio <= {float(anonymous.ratio):.3f}")
 
     # What would unique serial numbers buy?  The ID-based greedy maximal
     # matching is a 2-approximation but needs O(n) rounds in the worst
     # case and stronger hardware assumptions.
-    identified = run_identified(field, GreedyMaximalMatchingIds)
-    with_ids = identified.edge_set()
-    assert is_edge_dominating_set(field, with_ids)
-    print(f"  with unique IDs:  {len(with_ids):3d} monitored links, "
-          f"{identified.rounds} rounds (greedy maximal matching)")
+    identified = api.run_one("ids_greedy", field, optimum="none")
+    print(f"  with unique IDs:  {identified.solution_size:3d} monitored "
+          f"links, {identified.rounds} rounds (greedy maximal matching)")
 
 
 def main() -> None:

@@ -1,9 +1,12 @@
-"""Analysis layer: ratio measurement, the §7 cost certificate,
-centralised references, experiment running and report formatting."""
+"""Analysis layer: the §7 cost certificate, the centralised references
+and report formatting.
+
+Ratios come from the engine: a ``quality`` unit
+(:func:`repro.api.run_one`) measures every solution against one
+certified optimum policy.
+"""
 
 from repro.analysis.costs import CostCertificate, compute_cost_certificate
-from repro.analysis.messages import MessageProfile, profile_messages
-from repro.analysis.ratio import RatioReport, measure_ratio
 from repro.analysis.reference import (
     bounded_degree_reference,
     port_one_reference,
@@ -14,27 +17,13 @@ from repro.analysis.report import (
     format_ratio_pair,
     format_table,
 )
-from repro.analysis.runner import (
-    AlgorithmSpec,
-    ExperimentRow,
-    run_on,
-    standard_algorithms,
-)
 
 __all__ = [
-    "RatioReport",
-    "measure_ratio",
     "CostCertificate",
     "compute_cost_certificate",
-    "MessageProfile",
-    "profile_messages",
     "port_one_reference",
     "regular_odd_reference",
     "bounded_degree_reference",
-    "AlgorithmSpec",
-    "ExperimentRow",
-    "run_on",
-    "standard_algorithms",
     "format_table",
     "format_fraction",
     "format_ratio_pair",

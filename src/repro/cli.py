@@ -45,20 +45,18 @@ from typing import Sequence
 
 from repro import api
 from repro.analysis.report import format_table
-from repro.analysis.runner import AlgorithmSpec, run_on
 from repro.engine import (
     BACKEND_NAMES,
     DEFAULT_CACHE_DIR,
     FIGURE_IDS,
     ProgressPrinter,
     ResultCache,
-    derive_seed,
     figure_units,
     get_scenario,
     scenario_names,
 )
 from repro.engine.cache import human_bytes, parse_age, parse_size
-from repro.engine.spec import OPTIMUM_MODES
+from repro.engine.spec import OPTIMUM_MODES, GraphSpec
 from repro.experiments.ablation import format_ablations, run_ablations
 from repro.experiments.compare import (
     COMPARE_FAMILIES,
@@ -77,9 +75,6 @@ from repro.experiments.sweeps import (
     round_complexity_sweep,
 )
 from repro.experiments.table1 import format_table1, reproduce_table1
-from repro.generators.bounded import grid, random_bounded_degree
-from repro.generators.pairing import pairing_regular
-from repro.generators.regular import cycle, random_regular
 from repro.exceptions import SimulationError
 from repro.obs import (
     TRACE_FORMATS,
@@ -106,7 +101,6 @@ from repro.registry import (
     algorithm_names,
     get_measure,
     measure_names,
-    resolve,
 )
 from repro.runtime import ENGINES, use_engine
 
@@ -589,49 +583,65 @@ def _engines_line() -> str:
     return "engines: " + ", ".join(ENGINES)
 
 
-def _run_demo(args: argparse.Namespace) -> str:
-    if args.family == "regular":
+def _demo_graph(args: argparse.Namespace) -> tuple[GraphSpec, str]:
+    """The demo's graph as a spec, with its display label."""
+    if args.family in ("regular", "pairing_regular"):
         n = args.n + (args.n * args.d) % 2  # a d-regular graph needs n*d even
         n = max(n, args.d + 1 + (args.d + 1) % 2)
-        graph = random_regular(args.d, n, seed=args.seed)
-        label = f"random {args.d}-regular, n={n}"
-    elif args.family == "pairing_regular":
-        n = args.n + (args.n * args.d) % 2
-        n = max(n, args.d + 1 + (args.d + 1) % 2)
-        graph = pairing_regular(args.d, n, seed=args.seed)
-        label = f"pairing {args.d}-regular, n={n}"
-    elif args.family == "cycle":
-        graph = cycle(args.n, seed=args.seed)
-        label = f"cycle, n={args.n}"
-    elif args.family == "grid":
+        kind = "random" if args.family == "regular" else "pairing"
+        return (
+            api.graph(args.family, seed=args.seed, d=args.d, n=n),
+            f"{kind} {args.d}-regular, n={n}",
+        )
+    if args.family == "cycle":
+        return (
+            api.graph("cycle", seed=args.seed, n=args.n),
+            f"cycle, n={args.n}",
+        )
+    if args.family == "grid":
         side = max(2, int(args.n ** 0.5))
-        graph = grid(side, side, seed=args.seed)
-        label = f"grid {side}x{side}"
-    else:
-        graph = random_bounded_degree(args.n, args.d, seed=args.seed)
-        label = f"random bounded Δ={args.d}, n={args.n}"
-
-    # Resolved through the registry, so every registered algorithm —
-    # randomised ones included — is demo-able by name.
-    bound = resolve(
-        args.algorithm, rng_seed=derive_seed("demo", args.seed)
+        return (
+            api.graph("grid", seed=args.seed, rows=side, cols=side),
+            f"grid {side}x{side}",
+        )
+    return (
+        api.graph("bounded", seed=args.seed, n=args.n, max_degree=args.d),
+        f"random bounded Δ={args.d}, n={args.n}",
     )
-    spec = AlgorithmSpec.from_bound(bound)
+
+
+def _run_demo(args: argparse.Namespace) -> str:
+    """One ``quality`` unit through the engine, printed as one row.
+
+    Any registered algorithm is demo-able by name; randomised ones draw
+    their coins from the unit's content address, like every unit.
+    """
+    spec, label = _demo_graph(args)
     with use_engine(args.engine):
-        row = run_on(spec, graph, graph_label=label)
+        record = api.run_one(args.algorithm, spec, label=label)
+    if record.has_interval:
+        opt_header, ratio_header = "opt ∈", "ratio ∈"
+        opt = f"[{record.optimum_lower}, {record.optimum_upper}]"
+        ratio = (
+            f"[{float(record.ratio_lo):.4f}, {float(record.ratio_hi):.4f}]"
+        )
+    else:
+        opt_header = "opt" + ("" if record.optimum_exact else " (LB)")
+        ratio_header = "ratio"
+        opt, ratio = record.optimum, f"{float(record.ratio):.4f}"
     table = format_table(
-        ["graph", "algorithm", "n", "m", "|D|",
-         "opt" + ("" if row.optimum_exact else " (LB)"), "ratio", "rounds"],
+        ["graph", "algorithm", "n", "m", "|D|", opt_header, ratio_header,
+         "rounds"],
         [
             (
-                row.graph_label,
-                row.algorithm,
-                row.num_nodes,
-                row.num_edges,
-                row.solution_size,
-                row.optimum,
-                f"{row.ratio_float:.4f}",
-                row.rounds,
+                record.graph_label,
+                record.algorithm,
+                record.num_nodes,
+                record.num_edges,
+                record.solution_size,
+                opt,
+                ratio,
+                record.rounds,
             )
         ],
         title="demo run",

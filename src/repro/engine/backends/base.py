@@ -37,9 +37,8 @@ class ExecutionBackend:
     The built-in backends split *pending* with
     :func:`~repro.engine.executor.cells` and run each cell through
     :func:`~repro.engine.executor.execute_cell`, which builds the cell's
-    graph once.  A backend that calls
-    :func:`~repro.engine.executor.execute_unit_instrumented` per unit
-    gets the same records; it just builds one graph per unit.
+    graph once.  A backend that hands ``execute_cell`` one unit at a
+    time gets the same records; it just builds one graph per unit.
     """
 
     #: Registry name; set by subclasses.

@@ -54,7 +54,6 @@ __all__ = [
     "cells",
     "execute_cell",
     "execute_unit",
-    "execute_unit_instrumented",
     "run_units",
 ]
 
@@ -74,21 +73,6 @@ def execute_unit(spec: JobSpec) -> ResultRecord:
     """
     key = cache_key(spec)
     return get_measure(spec.measure).execute(spec, key)
-
-
-def execute_unit_instrumented(
-    spec: JobSpec,
-) -> tuple[ResultRecord, UnitTelemetry | None]:
-    """Execute one unit, collecting telemetry if enabled in this process.
-
-    The record is bit-for-bit the one :func:`execute_unit` produces —
-    telemetry travels *next to* it, never inside it, so cached bytes are
-    unaffected.  Returns ``(record, None)`` when collection is off (the
-    common case; the extra cost is one flag check).  This is a cell of
-    one unit, so it builds its own graph.
-    """
-    ((_, record, telemetry),) = execute_cell([(0, spec)])
-    return record, telemetry
 
 
 def cells(

@@ -219,7 +219,8 @@ class QualityMeasure(Measure):
     (branch-and-bound), ``"lower_bound"`` (poly-time bound),
     ``"dual_bound"`` (the certified ν sandwich — interval ratios),
     ``"auto"`` (exact while affordable, then blossom, then sandwich)
-    or ``"none"`` (sizes and rounds only).
+    or ``"none"`` (sizes and rounds only).  A unit that
+    :meth:`needs_trace` also records its message count.
     """
 
     name = "quality"
@@ -333,7 +334,7 @@ class QualityMeasure(Measure):
                 # Extras (not record fields): the raw ν bracket.
                 overrides["nu_lower"] = out.nu.lower
                 overrides["nu_upper"] = out.nu.upper
-        if spec.count_messages:
+        if self.needs_trace(spec):
             if run.trace is not None:
                 overrides["messages"] = run.trace.total_messages
             elif run.algorithm.model == "central":
@@ -356,16 +357,6 @@ class ComparisonMeasure(QualityMeasure):
 
     def needs_trace(self, spec: JobSpec) -> bool:
         return True
-
-    def measure(
-        self, graph: PortNumberedGraph, run: AlgorithmRun
-    ) -> dict[str, Any]:
-        overrides = dict(super().measure(graph, run))
-        if run.trace is not None:
-            overrides["messages"] = run.trace.total_messages
-        elif run.algorithm.model == "central":
-            overrides["messages"] = 0
-        return overrides
 
 
 @register_measure

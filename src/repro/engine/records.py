@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRow
 from repro.engine.spec import canonical_json
 
 __all__ = ["ResultRecord", "ResultStore"]
@@ -181,21 +180,6 @@ class ResultRecord:
         """Canonical JSON encoding (the byte-identity comparison form)."""
         return canonical_json(self.to_json_dict())
 
-    def to_experiment_row(self) -> ExperimentRow:
-        """Adapt to the :mod:`repro.analysis.runner` row type."""
-        return ExperimentRow(
-            algorithm=self.algorithm,
-            graph_label=self.graph_label,
-            num_nodes=self.num_nodes,
-            num_edges=self.num_edges,
-            max_degree=self.max_degree,
-            solution_size=self.solution_size,
-            optimum=self.optimum,
-            optimum_exact=self.optimum_exact,
-            ratio=self.ratio,
-            rounds=self.rounds,
-        )
-
 
 class ResultStore:
     """An ordered collection of records with summaries and JSONL I/O."""
@@ -214,9 +198,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def experiment_rows(self) -> list[ExperimentRow]:
-        return [r.to_experiment_row() for r in self.records]
 
     def has_intervals(self) -> bool:
         """True when any stored record carries a ratio interval."""

@@ -23,9 +23,9 @@ from typing import Sequence
 from repro.algorithms.bounded_degree import BoundedDegreeEDS
 from repro.algorithms.regular_odd import RegularOddEDS
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRow
 from repro.engine.cache import ResultCache
 from repro.api import run_sweep
+from repro.engine.records import ResultRecord
 from repro.engine.spec import GraphSpec, JobSpec
 
 __all__ = [
@@ -129,7 +129,7 @@ def average_case_sweep(
     workers: int = 1,
     cache: ResultCache | None = None,
     backend: str | None = None,
-) -> list[ExperimentRow]:
+) -> list[ResultRecord]:
     """Average-case ratios on random graphs, all algorithms.
 
     Sizes are kept small enough for the exact optimum so the reported
@@ -164,16 +164,11 @@ def average_case_sweep(
             )
 
     report = run_sweep(units, workers=workers, cache=cache, backend=backend)
-    # Degenerate empty bounded draws carry no information; drop their
-    # rows the way the sequential harness always has.
-    return [
-        record.to_experiment_row()
-        for record in report.records
-        if record.num_edges > 0
-    ]
+    # Degenerate empty bounded draws carry no information; drop them.
+    return [record for record in report.records if record.num_edges > 0]
 
 
-def format_average_case(rows: Sequence[ExperimentRow]) -> str:
+def format_average_case(rows: Sequence[ResultRecord]) -> str:
     aggregated: dict[str, list[Fraction]] = {}
     for row in rows:
         aggregated.setdefault(row.algorithm, []).append(row.ratio)
@@ -196,7 +191,7 @@ def format_average_case(rows: Sequence[ExperimentRow]) -> str:
                 r.num_edges,
                 r.solution_size,
                 r.optimum,
-                f"{r.ratio_float:.4f}",
+                f"{float(r.ratio):.4f}",
                 r.rounds,
             )
             for r in rows

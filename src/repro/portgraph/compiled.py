@@ -55,7 +55,7 @@ class CompiledGraph:
 
     __slots__ = (
         "nodes",
-        "node_index",
+        "_node_index",
         "num_nodes",
         "degrees",
         "offsets",
@@ -72,7 +72,7 @@ class CompiledGraph:
         n = len(nodes)
         self.num_nodes = n
         node_index: dict[Node, int] = {v: k for k, v in enumerate(nodes)}
-        self.node_index = node_index
+        self._node_index = None
         degree_of = graph.degrees
         degrees = tuple(degree_of[v] for v in nodes)
         self.degrees = degrees
@@ -133,7 +133,7 @@ class CompiledGraph:
         self.nodes = tuple(nodes)
         n = len(self.nodes)
         self.num_nodes = n
-        self.node_index = {v: k for k, v in enumerate(self.nodes)}
+        self._node_index = None
         self.degrees = tuple(degrees)
         self.offsets = offsets
         self.num_ports = offsets[n] if len(offsets) > n else 0
@@ -145,6 +145,17 @@ class CompiledGraph:
         self.memo = {}
         self._vector = None
         return self
+
+    @property
+    def node_index(self) -> dict[Node, int]:
+        """``node_index[v]`` — the index of node *v*, built on first use.
+
+        Only per-node lookups read it; a unit that stays on the arrays
+        never pays for the ``n``-entry dict.
+        """
+        if self._node_index is None:
+            self._node_index = {v: k for k, v in enumerate(self.nodes)}
+        return self._node_index
 
     def vector(self):
         """The numpy struct-of-arrays view of this graph, memoised.

@@ -1,7 +1,11 @@
-"""Tests for the analysis layer: ratio, costs, references, runner, report."""
+"""Tests for the analysis layer: ratio, costs, references, runner, report.
+
+Ratios and runs go through the engine (:func:`repro.api.run_one`).
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import networkx as nx
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.algorithms import RegularOddEDS
 from repro.algorithms.bounded_degree import run_bounded_with_split
 from repro.analysis import (
@@ -16,51 +21,52 @@ from repro.analysis import (
     format_fraction,
     format_ratio_pair,
     format_table,
-    measure_ratio,
     port_one_reference,
     regular_odd_reference,
-    run_on,
-    standard_algorithms,
 )
 from repro.exceptions import AlgorithmContractError
-from repro.generators import cycle, random_regular
+from repro.generators import random_regular
 from repro.matching.exact import minimum_maximal_matching
 from repro.portgraph import from_networkx, random_numbering
+from repro.registry import ALGORITHMS, register_central
 from repro.runtime import run_anonymous
 
 from tests.conftest import nx_graphs
 
 
+@contextmanager
+def central(name, pick):
+    """A throwaway central algorithm selecting ``pick(graph)``."""
+    register_central(name, lambda graph: frozenset(pick(graph)))
+    try:
+        yield
+    finally:
+        ALGORITHMS.unregister(name)
+
+
 class TestMeasureRatio:
+    """Ratio measurement: a ``quality`` unit's optimum policy."""
+
     def test_exact_on_small_graph(self):
-        g = from_networkx(nx.path_graph(5))
-        report = measure_ratio(g, frozenset(g.edges))
-        assert report.exact
-        assert report.optimum == 2
-        assert report.ratio == Fraction(4, 2)
+        with central("test_all_edges", lambda g: g.edges):
+            record = api.run_one("test_all_edges", api.graph("path", n=5))
+        assert record.optimum_exact
+        assert record.optimum == 2
+        assert record.ratio == Fraction(4, 2)
 
     def test_lower_bound_fallback(self):
-        g = random_regular(3, 20, seed=1)
-        full = frozenset(g.edges)
-        report = measure_ratio(g, full, exact_edge_limit=5)
-        assert not report.exact
-        assert report.ratio >= 1
-
-    def test_known_optimum_override(self):
-        g = from_networkx(nx.path_graph(5))
-        report = measure_ratio(g, frozenset(g.edges), known_optimum=2)
-        assert report.exact
-        assert report.optimum == 2
+        with central("test_all_edges", lambda g: g.edges):
+            record = api.run_one(
+                "test_all_edges", api.graph("regular", seed=1, d=3, n=20),
+                exact_edge_limit=5,
+            )
+        assert not record.optimum_exact
+        assert record.ratio >= 1
 
     def test_infeasible_rejected(self):
-        g = from_networkx(nx.path_graph(5))
-        with pytest.raises(AlgorithmContractError):
-            measure_ratio(g, frozenset())
-
-    def test_str_rendering(self):
-        g = from_networkx(nx.path_graph(3))
-        report = measure_ratio(g, frozenset(g.edges))
-        assert "ratio" in str(report)
+        with central("test_no_edges", lambda g: ()):
+            with pytest.raises(AlgorithmContractError, match="infeasible"):
+                api.run_one("test_no_edges", api.graph("path", n=5))
 
 
 class TestReferences:
@@ -181,22 +187,22 @@ class TestCostCertificate:
 
 
 class TestRunner:
-    def test_standard_algorithms_all_run_on_cycle(self):
-        g = cycle(8, seed=1)
-        for name, spec in standard_algorithms().items():
-            if name == "regular_odd":
-                continue  # cycle has even degree; not this algorithm's domain
-            row = run_on(spec, g, graph_label="C8")
-            assert row.solution_size >= 1
-            assert row.ratio >= 1
+    """The one-unit runner, :func:`repro.api.run_one`."""
+
+    def test_harness_algorithms_run_on_cycle(self):
+        graph = api.graph("cycle", seed=1, n=8)
+        # regular_odd is left out: a cycle has even degree.
+        for name in ("port_one", "bounded_degree", "ids_greedy",
+                     "central_greedy"):
+            record = api.run_one(name, graph, label="C8")
+            assert record.solution_size >= 1
+            assert record.ratio >= 1
 
     def test_row_fields(self):
-        g = cycle(6)
-        spec = standard_algorithms()["port_one"]
-        row = run_on(spec, g)
-        assert row.num_nodes == 6
-        assert row.rounds == 1
-        assert row.optimum_exact
+        record = api.run_one("port_one", api.graph("cycle", n=6))
+        assert record.num_nodes == 6
+        assert record.rounds == 1
+        assert record.optimum_exact
 
 
 class TestReport:

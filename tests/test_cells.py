@@ -29,7 +29,7 @@ from repro.engine import (
     run_units,
 )
 from repro.engine.backends import ExecutionBackend, InlineBackend
-from repro.engine.executor import execute_unit, execute_unit_instrumented
+from repro.engine.executor import execute_cell, execute_unit
 from repro.engine.figures import figure_unit
 from repro.engine.measures import QualityMeasure
 from repro.obs import telemetry
@@ -93,13 +93,13 @@ class RecordingBackend(ExecutionBackend):
 
 
 class PerUnitBackend(ExecutionBackend):
-    """A third-party backend that predates cells."""
+    """A third-party backend that runs every unit as a cell of its own."""
 
     name = "per-unit"
 
     def run(self, pending):
         for index, spec in pending:
-            record, unit_telemetry = execute_unit_instrumented(spec)
+            ((_, record, unit_telemetry),) = execute_cell([(0, spec)])
             yield index, record, unit_telemetry
 
 

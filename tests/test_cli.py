@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 
 
@@ -273,12 +275,73 @@ class TestCacheCommand:
         assert "entries:         0" in capsys.readouterr().out
 
 
+def _demo_row(out: str) -> list[str]:
+    """The cells of the demo table's one row (columns are padded with
+    two or more spaces; a label holds single spaces only)."""
+    lines = out.splitlines()
+    return re.split(r"\s{2,}", lines[lines.index("demo run") + 4].strip())
+
+
 class TestDemoRegistryIntegration:
     def test_demo_randomized_algorithm(self, capsys):
         code = main(["demo", "--family", "cycle", "-n", "12",
                      "--algorithm", "randomized_matching"])
         assert code == 0
         assert "randomized_matching" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,spec,label",
+        [
+            (["--family", "regular", "-d", "3", "-n", "16",
+              "--algorithm", "regular_odd"],
+             api.graph("regular", seed=0, d=3, n=16),
+             "random 3-regular, n=16"),
+            # n * d odd: the demo rounds n up to 10
+            (["--family", "pairing_regular", "-d", "3", "-n", "9",
+              "--algorithm", "port_one", "--seed", "2"],
+             api.graph("pairing_regular", seed=2, d=3, n=10),
+             "pairing 3-regular, n=10"),
+            (["--family", "grid", "-n", "10", "--algorithm", "ids_greedy"],
+             api.graph("grid", seed=0, rows=3, cols=3), "grid 3x3"),
+            # randomised coins come from the unit key, as in a sweep
+            (["--family", "cycle", "-n", "12",
+              "--algorithm", "randomized_matching"],
+             api.graph("cycle", seed=0, n=12), "cycle, n=12"),
+        ],
+    )
+    def test_demo_row_is_the_run_one_record(self, capsys, argv, spec, label):
+        assert main(["demo", *argv]) == 0
+        algorithm = argv[argv.index("--algorithm") + 1]
+        record = api.run_one(algorithm, spec, label=label)
+        assert _demo_row(capsys.readouterr().out) == [
+            record.graph_label, record.algorithm, str(record.num_nodes),
+            str(record.num_edges), str(record.solution_size),
+            str(record.optimum), f"{float(record.ratio):.4f}",
+            str(record.rounds),
+        ]
+
+    def test_demo_prints_certified_bracket_past_blossom_limit(
+        self, capsys, monkeypatch
+    ):
+        import repro.engine.measures as measures
+
+        # m = 60 edges: past exact_edge_limit (48) and the patched
+        # blossom limit, so the unit takes the ν sandwich.
+        monkeypatch.setattr(measures, "DUAL_BOUND_EDGE_LIMIT", 48)
+        argv = ["demo", "--family", "regular", "-d", "3", "-n", "40"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        record = api.run_one(
+            "bounded_degree", api.graph("regular", seed=0, d=3, n=40),
+            label="random 3-regular, n=40",
+        )
+        assert record.has_interval
+        assert "opt ∈" in out and "ratio ∈" in out
+        row = _demo_row(out)
+        assert row[5] == f"[{record.optimum_lower}, {record.optimum_upper}]"
+        assert row[6] == (
+            f"[{float(record.ratio_lo):.4f}, {float(record.ratio_hi):.4f}]"
+        )
 
 
 class TestProfileCommand:

@@ -22,6 +22,7 @@ import pytest
 import repro.registry.builtins  # noqa: F401  (populate the registry)
 from repro.engine.cache import cache_key
 from repro.engine.executor import execute_unit
+from repro.engine.measures import default_execute
 from repro.engine.spec import GraphSpec, JobSpec
 from repro.exceptions import (
     ConstructionError,
@@ -40,6 +41,7 @@ from repro.generators.regular import (
 from repro.portgraph.arrays import ArrayGraph
 from repro.portgraph.compiled import CompiledGraph
 from repro.portgraph.numbering import random_numbering, sequential_numbering
+from repro.registry import get_measure
 
 #: (family callable, positional args) — every direct-path builder.
 FAMILIES = [
@@ -311,3 +313,23 @@ class TestArrayGraphDegenerate:
         mate, port_node = compiled.flat_lists()
         assert mate == list(compiled.mate)
         assert port_node == list(compiled.port_node)
+
+
+class TestLazyNodeIndex:
+    @pytest.mark.parametrize("optimum", ["none", "dual_bound"])
+    def test_array_units_leave_node_index_unbuilt(self, optimum):
+        """The node → index dict serves per-node lookups only; quality
+        units on a direct-to-CSR graph never build it."""
+        spec = GraphSpec.make("pairing_regular", seed=0, d=4, n=256)
+        graph = spec.build()
+        quality = get_measure("quality")
+        for algorithm in ("port_one", "bounded_degree"):
+            unit = JobSpec(algorithm, spec, optimum=optimum)
+            default_execute(quality, unit, cache_key(unit), graph)
+        compiled = graph.compiled()
+        assert compiled._node_index is None
+        v = compiled.nodes[0]
+        assert graph.degree(v) == 4
+        u, j = graph.connection(v, 1)
+        assert graph.connection(u, j) == (v, 1)
+        assert compiled.node_index[v] == 0

@@ -265,13 +265,12 @@ class TestResultStore:
         loaded = ResultStore.from_jsonl(path)
         assert loaded.records == store.records
 
-    def test_summary_and_experiment_rows(self):
+    def test_summary_and_records(self):
         store = run_units(SMALL_GRID.expand()[:4]).store
         text = store.format_summary()
         assert "algorithm" in text and "units" in text
-        rows = store.experiment_rows()
-        assert len(rows) == 4
-        assert all(row.ratio >= 1 for row in rows)
+        assert len(store) == 4
+        assert all(record.ratio >= 1 for record in store)
 
 
 class TestScenarios:

@@ -12,6 +12,8 @@ Covers the contracts the registry redesign makes:
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro import api
@@ -243,21 +245,14 @@ class TestRandomizedDeterminism:
 
 class TestLegacyAdapters:
     def test_legacy_shims_are_gone(self):
-        """The one-release deprecation shims were removed on schedule."""
-        import repro.analysis.runner as runner
+        """The deprecation shims and the pre-engine runner are gone: the
+        registry plus :func:`repro.api.run_one` is the one path."""
         import repro.engine.spec as spec
 
-        assert not hasattr(runner, "resolve_algorithm")
         assert not hasattr(spec, "graph_families")
-
-    def test_standard_algorithms_resolved_from_registry(self):
-        from repro.analysis.runner import standard_algorithms
-
-        specs = standard_algorithms()
-        assert set(specs) == {"port_one", "regular_odd", "bounded_degree",
-                              "ids_greedy", "central_greedy"}
-        assert specs["central_greedy"].model == "central"
-        assert specs["port_one"].factory is not None
+        for module in ("runner", "ratio", "messages"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.analysis.{module}")
 
 
 class TestCustomPlugins:

@@ -1,11 +1,10 @@
-"""Tests for text rendering and message profiling."""
+"""Tests for text rendering and traced message counts."""
 
 from __future__ import annotations
 
 import networkx as nx
 
 from repro.algorithms import PortOneEDS, RegularOddEDS
-from repro.analysis.messages import profile_messages
 from repro.generators import random_regular
 from repro.portgraph import from_networkx
 from repro.portgraph.render import (
@@ -60,28 +59,32 @@ class TestRenderEdgesAndOutputs:
 
 
 class TestMessageProfile:
+    @staticmethod
+    def traced(graph, algorithm):
+        """The run and its messages per round, read off the trace."""
+        result = run_anonymous(graph, algorithm, record_trace=True)
+        return result, [r.message_count for r in result.trace.rounds]
+
     def test_port_one_message_count(self):
         """PortOne sends exactly one message per port, in one round."""
         g = random_regular(4, 10, seed=1)
-        profile = profile_messages(g, PortOneEDS)
-        assert profile.rounds == 1
-        assert profile.total_messages == 4 * 10  # sum of degrees
-        assert profile.max_round_messages == 40
-        assert profile.mean_round_messages == 40
+        result, per_round = self.traced(g, PortOneEDS)
+        assert result.rounds == 1
+        assert result.trace.total_messages == 4 * 10  # sum of degrees
+        assert per_round == [40]
 
     def test_regular_odd_profile(self):
         g = random_regular(3, 8, seed=2)
-        profile = profile_messages(g, RegularOddEDS)
-        assert profile.rounds == RegularOddEDS.total_rounds(3)
+        result, per_round = self.traced(g, RegularOddEDS)
+        assert result.rounds == RegularOddEDS.total_rounds(3)
         # setup rounds broadcast on every port: 2 rounds of 24 messages
-        assert profile.messages_per_round[0] == 24
-        assert profile.messages_per_round[1] == 24
+        assert per_round[:2] == [24, 24]
         # pair steps only involve matched ports: strictly less traffic
-        assert all(c <= 24 for c in profile.messages_per_round[2:])
-        assert profile.total_messages < profile.rounds * 24
+        assert all(c <= 24 for c in per_round[2:])
+        assert result.trace.total_messages < result.rounds * 24
 
     def test_empty_graph_profile(self):
         g = from_networkx(nx.empty_graph(3))
-        profile = profile_messages(g, PortOneEDS)
-        assert profile.total_messages == 0
-        assert profile.mean_round_messages == 0.0
+        result, per_round = self.traced(g, PortOneEDS)
+        assert result.trace.total_messages == 0
+        assert max(per_round, default=0) == 0

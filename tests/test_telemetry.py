@@ -26,8 +26,8 @@ from repro import api
 from repro.engine import ResultCache, SweepGrid, run_units
 from repro.engine.executor import (
     ProgressPrinter,
+    execute_cell,
     execute_unit,
-    execute_unit_instrumented,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -164,7 +164,7 @@ class TestMetrics:
 class TestInstrumentedExecution:
     def test_disabled_path_returns_no_telemetry(self):
         assert not collection_enabled()
-        record, unit_telemetry = execute_unit_instrumented(units()[0])
+        ((_, record, unit_telemetry),) = execute_cell([(0, units()[0])])
         assert unit_telemetry is None
         assert record == execute_unit(units()[0])
 
@@ -172,7 +172,7 @@ class TestInstrumentedExecution:
         spec = units()[0]
         set_collection(True)
         try:
-            record, unit_telemetry = execute_unit_instrumented(spec)
+            ((_, record, unit_telemetry),) = execute_cell([(0, spec)])
         finally:
             set_collection(False)
         assert record.canonical() == execute_unit(spec).canonical()
