@@ -34,7 +34,7 @@ from repro.engine.executor import ExecutionReport, run_units
 from repro.engine.grid import SweepGrid
 from repro.engine.records import ResultRecord
 from repro.engine.scenarios import get_scenario
-from repro.engine.spec import GraphSpec, JobSpec
+from repro.engine.spec import DEFAULT_EXACT_EDGE_LIMIT, GraphSpec, JobSpec
 
 __all__ = [
     "CacheLike",
@@ -82,7 +82,7 @@ def run_one(
     algorithm_params: Mapping[str, Any] | None = None,
     measure: str = "quality",
     optimum: str = "auto",
-    exact_edge_limit: int = 48,
+    exact_edge_limit: int = DEFAULT_EXACT_EDGE_LIMIT,
     count_messages: bool = False,
     label: str = "",
     cache: CacheLike = None,

@@ -75,7 +75,7 @@ from repro.experiments.sweeps import (
     round_complexity_sweep,
 )
 from repro.experiments.table1 import format_table1, reproduce_table1
-from repro.exceptions import SimulationError
+from repro.exceptions import AlgorithmContractError, SimulationError
 from repro.obs import (
     TRACE_FORMATS,
     configure_logging,
@@ -751,7 +751,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "demo":
         try:
             print(_run_demo(args))
-        except SimulationError as exc:
+        except (SimulationError, AlgorithmContractError) as exc:
             print(f"ERROR: {exc}", file=sys.stderr)
             return 2
     elif args.command == "profile":

@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from repro.engine.spec import GraphSpec, JobSpec, derive_seed
+from repro.engine.spec import (
+    DEFAULT_EXACT_EDGE_LIMIT,
+    GraphSpec,
+    JobSpec,
+    derive_seed,
+)
 
 __all__ = ["SweepGrid"]
 
@@ -37,7 +42,7 @@ class SweepGrid:
     base_seed: int = 0
     measure: str = "quality"
     optimum: str = "auto"
-    exact_edge_limit: int = 48
+    exact_edge_limit: int = DEFAULT_EXACT_EDGE_LIMIT
     count_messages: bool = False
 
     def __post_init__(self) -> None:

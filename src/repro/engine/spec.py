@@ -31,6 +31,7 @@ from repro.registry.families import get_family
 from repro.registry.measures import get_measure, measure_names
 
 __all__ = [
+    "DEFAULT_EXACT_EDGE_LIMIT",
     "GraphSpec",
     "JobSpec",
     "OPTIMUM_MODES",
@@ -40,6 +41,11 @@ __all__ = [
 
 #: Optimum policies for the ``quality`` measure.
 OPTIMUM_MODES = ("auto", "exact", "lower_bound", "dual_bound", "none")
+
+#: Most edges ``optimum="auto"`` solves exactly, unless a unit says
+#: otherwise: the default of :class:`JobSpec`, ``SweepGrid`` and
+#: ``api.run_one``.
+DEFAULT_EXACT_EDGE_LIMIT = 48
 
 
 def canonical_json(obj: Any) -> str:
@@ -129,7 +135,7 @@ class JobSpec:
     algorithm_params: tuple[tuple[str, int], ...] = ()
     measure: str = "quality"
     optimum: str = "auto"
-    exact_edge_limit: int = 48
+    exact_edge_limit: int = DEFAULT_EXACT_EDGE_LIMIT
     count_messages: bool = False
     label: str = ""
 
@@ -180,6 +186,8 @@ class JobSpec:
             ),
             measure=data.get("measure", "quality"),
             optimum=data.get("optimum", "auto"),
+            # Not DEFAULT_EXACT_EDGE_LIMIT: a spec written without the
+            # field meant 48, whatever the default becomes.
             exact_edge_limit=data.get("exact_edge_limit", 48),
             count_messages=data.get("count_messages", False),
             label=data.get("label", ""),

@@ -15,12 +15,14 @@ already the compiled ``mate`` array and the result wraps directly in an
 :class:`~repro.portgraph.arrays.ArrayGraph` (numeric node order; no
 repr re-sorting, no dicts).
 
-Determinism contract: the pairing comes from ``random.Random(seed)``
-(one ``shuffle``), bad-edge detection has one canonical order, and the
-switch-repair draws from the same ``Random`` stream — so the graph is a
-pure function of ``(d, n, seed)``.  Cache keys name the spec, not the
-graph, so the output bytes are pinned per ``(d, n, seed)`` by
-``tests/test_pairing_regular.py``.
+Determinism contract: the pairing is the order that one
+``random.Random(seed).shuffle`` of the stub indices leaves, replayed in
+arrays by :func:`~repro.generators.shuffle.shuffled_range`, which also
+leaves the stream where that ``shuffle`` would; bad-edge detection has
+one canonical order, and the switch-repair draws from the same
+``Random`` stream — so the graph is a pure function of ``(d, n, seed)``.
+Cache keys name the spec, not the graph, so the output bytes are pinned
+per ``(d, n, seed)`` by ``tests/test_pairing_regular.py``.
 
 Caveat: switch-repair conditions the pairing on simplicity, so the
 distribution is the configuration model conditioned on simple outcomes
@@ -32,12 +34,13 @@ keeps networkx's graphs for anyone who needs those.
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
 
 import numpy as np
 
 from repro.exceptions import ConstructionError
+from repro.generators.direct import _q
+from repro.generators.shuffle import shuffled_range
 from repro.portgraph.arrays import ArrayGraph
 
 __all__ = ["pairing_regular"]
@@ -147,9 +150,7 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
     total = n * d
     rng = random.Random(seed)
     for _ in range(_MAX_RESTARTS):
-        stubs = list(range(total))
-        rng.shuffle(stubs)
-        perm = np.array(stubs, dtype=np.int64)
+        perm = shuffled_range(rng, total)
         mate = np.empty(total, dtype=np.int64)
         mate[perm[0::2]] = perm[1::2]
         mate[perm[1::2]] = perm[0::2]
@@ -165,11 +166,9 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
             f"{_MAX_RESTARTS} redraws"
         )
 
-    offsets = array("q", range(0, total + d, d)) if n else array("q", [0])
-    mate_q = array("q")
-    mate_q.frombytes(mate.tobytes())
-    port_node = array("q")
-    port_node.frombytes((np.arange(total, dtype=np.int64) // d).tobytes())
+    offsets = np.arange(total + d, step=d, dtype=np.int64)
+    port_node = np.arange(total, dtype=np.int64) // d
     return ArrayGraph(
-        range(n), (d,) * n, offsets, mate_q, port_node, validate=False
+        range(n), (d,) * n, _q(offsets), _q(mate), _q(port_node),
+        validate=False,
     )

@@ -320,6 +320,22 @@ class TestDemoRegistryIntegration:
             str(record.rounds),
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "grid", "-n", "9"],
+        ["--family", "cycle", "-n", "30"],
+    ])
+    def test_demo_reports_contract_error(self, capsys, argv):
+        # regular_odd off its domain: an ERROR line and exit 2, as for a
+        # simulation error, not a traceback.
+        code = main(["demo", *argv, "--algorithm", "regular_odd",
+                     "--seed", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "ERROR: regular_odd produced an infeasible output on "
+        )
+        assert "demo run" not in captured.out
+
     def test_demo_prints_certified_bracket_past_blossom_limit(
         self, capsys, monkeypatch
     ):

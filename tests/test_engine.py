@@ -80,6 +80,23 @@ class TestSpecs:
         spec = unit(seed=9, label="hello")
         assert JobSpec.from_json_dict(spec.to_json_dict()) == spec
 
+    def test_exact_edge_limit_defaults_agree(self):
+        import inspect
+
+        from repro import api
+        from repro.engine.spec import DEFAULT_EXACT_EDGE_LIMIT
+
+        run_one = inspect.signature(api.run_one).parameters
+        assert {
+            unit().exact_edge_limit,
+            SMALL_GRID.exact_edge_limit,
+            run_one["exact_edge_limit"].default,
+        } == {DEFAULT_EXACT_EDGE_LIMIT}
+        # A spec written without the field keeps the limit it meant.
+        data = unit().to_json_dict()
+        del data["exact_edge_limit"]
+        assert JobSpec.from_json_dict(data).exact_edge_limit == 48
+
 
 class TestCacheKeys:
     def test_key_is_stable(self):

@@ -63,6 +63,18 @@ PINNED_DIGESTS = {
         "cfc999ef54ea62e93e0dc41f3bd5c11866add23f2c79c39749bfbfeb13d1eca4",
         "cd3627d7e0128f9598b3f4192e9b44abf3f12805ceeb9df0d7ab5387271f1755",
     ),
+    # Large enough that the shuffle replay resolves most draws in
+    # vectorised blocks; d=4, n=65536 is the certified-bounds cell.
+    (4, 65536, 0): (
+        "7ae97d7b9735885a8abbddb8dd61844dbc8bc8c9b3e064d8042770f15b3a3ecf",
+        "29154ce78d502ee0a9dd8a56a93dc9c4200b76097b560a5900c51d5041a86801",
+        "7ed1fcc74b22709baccd49a48570d139015e4255185a2d2b483c71854d6eb775",
+    ),
+    (8, 16384, 1): (
+        "4431649a334be5e233fe71122164ce399a58a8006f8c288edd3994a7815bec7e",
+        "37d6281043b24a73c52b407d85685d74aa50f3fc2ee68bc8d73eeb30e0a6975e",
+        "8de143ad62d3eb7314cb833adf661961593154c6178ae16c439d50721b867f88",
+    ),
 }
 
 
