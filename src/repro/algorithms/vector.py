@@ -12,6 +12,16 @@ same round counts, and the same messages in the same order, which the
 differential suite (``tests/test_runtime_compiled.py``) asserts across
 the full graph-family matrix.
 
+The Section 5 setup (Lemmas 1-2: each node's distinguishable edge and
+the matchings M(i, j) it defines) is built in linear passes over the
+ports.  A port's label {local, peer_local} can repeat at its node only
+on the port numbered peer_local, so two gathers and a compare find the
+distinguishable ports.  The pair-tag rows are one *own* row per node
+with a distinguishable port and one *peer* row on that port's mate;
+each row knows its *partner* row on the mate port, so schedule entries
+link to their peers through the partner instead of a search.  One
+argsort on the unique ``(step, node)`` key orders each schedule.
+
 Fidelity rules the kernels follow:
 
 * sends are emitted in ascending node order, and within a node in the
@@ -81,13 +91,6 @@ def require_max_degree(vg, max_degree: int) -> None:
         )
 
 
-def _run_starts(values):
-    """Start index of each run of equal adjacent *values* (sorted)."""
-    head = np.ones(len(values), dtype=bool)
-    head[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(head)
-
-
 def _owned(vg, ks, flags):
     """*flags* restricted to the ports of nodes *ks* (a port mask)."""
     mine = np.zeros(vg.num_nodes, dtype=bool)
@@ -134,116 +137,113 @@ class VectorAllEdges(VectorProgram):
 
 
 def _label_tables(vg):
-    """Distinguishable ports and pair tags, fully vectorised.
+    """Distinguishable ports and pair-tag rows, in linear passes.
 
-    Returns ``(dn_port, tag_k, tag_i, tag_j, tag_g)`` memoised as
-    ``vector_label``: ``dn_port[k]`` is the min-port uniquely-labelled
-    edge of node ``k`` (−1 when none), and the tag arrays hold every
-    ``pair (i, j) → port`` table entry as ``(node, i, j, global port)``
-    rows sorted by ``(node, i, j)`` — the exact content of the per-node
-    programs' ``port_for_pair`` dicts, with the same Lemma 2 violation
-    check.
+    Returns ``(dn_port, tag_k, tag_i, tag_j, tag_g, partner)`` memoised
+    as ``vector_label``.  ``dn_port[k]`` is the min-port
+    uniquely-labelled edge of node ``k`` (−1 when none).  Row ``r`` is
+    one entry of a per-node program's ``port_for_pair`` dict: node
+    ``tag_k[r]`` maps pair ``(tag_i[r], tag_j[r])`` to global port
+    ``tag_g[r]``.  The rows come unsorted: first one *own* row per node
+    with a distinguishable port, in node order, then one *peer* row on
+    the mate of each own row's port, with the same pair.  A mutual
+    distinguishable edge whose ends carry one port number has its two
+    own rows only, as the per-node programs' tag sets hold it once.
+    ``partner[r]`` is the row with ``r``'s pair on the mate port, so the
+    two ends of an ``M(i, j)`` edge link to each other without a search.
+    The Lemma 2 violation check is the per-node programs'.
     """
     try:
         return vg.memo["vector_label"]
     except KeyError:
         pass
-    total = vg.num_ports
     local = vg.local
     peer_local = vg.peer_local
-    owner = vg.port_node
+    degrees = vg.degrees
 
-    # Pair multiplicity per node: a port's edge label is the unordered
-    # pair {i, peer_local}; unique pairs are the distinguishable edges.
-    lo = np.minimum(local, peer_local)
-    hi = np.maximum(local, peer_local)
-    width = int(hi.max()) + 1 if total else 1
-    pair_key = (owner * width + lo) * width + hi
-    # A sort and an adjacent compare, not ``np.unique``: numpy 2.x's
-    # hash-based unique is several times slower on these keys.
-    order = np.argsort(pair_key, kind="stable")
-    ordered = pair_key[order]
-    repeated = np.zeros(total, dtype=bool)
-    if total > 1:
-        same = ordered[1:] == ordered[:-1]
-        repeated[1:] = same
-        repeated[:-1] |= same
-    unique_pair = np.empty(total, dtype=bool)
-    unique_pair[order] = ~repeated
-    dn = vg.segment_min(np.where(unique_pair, local, _INF), _INF)
+    # A port's edge label is the unordered pair {local, peer_local}.
+    # Local numbers are distinct within a node, so the label can repeat
+    # there only as the reversed pair, on the node's port numbered
+    # peer_local: the port's twin, which exists when peer_local differs
+    # from local and is at most the node's degree.
+    twin = peer_local - local
+    has_twin = (twin != 0) & (peer_local <= degrees[vg.port_node])
+    twin += vg.all_ports
+    twin *= has_twin  # ports without a twin read port 0, masked below
+    repeated = has_twin & (peer_local[twin] == local)
+    dn = vg.segment_min(np.where(repeated, _INF, local), _INF)
     dn_port = np.where(dn == _INF, -1, dn)
 
-    # Tag rows.  A port g is tagged (i, j) when its own end is the
-    # distinguishable port (i = local) or its peer end is (pair
-    # reversed) — mirroring LabelAwareProgram's two tag sources.
-    tag_own = dn_port[owner] == local
-    tag_peer = dn_port[vg.peer_node] == peer_local
-    gids = vg.all_ports
-    tag_k = np.concatenate([owner[tag_own], owner[tag_peer]])
-    tag_i = np.concatenate([local[tag_own], peer_local[tag_peer]])
-    tag_j = np.concatenate([peer_local[tag_own], local[tag_peer]])
-    tag_g = np.concatenate([gids[tag_own], gids[tag_peer]])
-    order = np.lexsort((tag_g, tag_j, tag_i, tag_k))
-    tag_k = tag_k[order]
-    tag_i = tag_i[order]
-    tag_j = tag_j[order]
-    tag_g = tag_g[order]
+    # Own rows, in node order: the edge at a node's distinguishable port
+    # g is tagged (i, j) = (local, peer_local) there, and by a peer row
+    # with the same pair at mate(g) -- LabelAwareProgram's two sources.
+    own_k = np.flatnonzero(dn_port >= 0)
+    own_i = dn_port[own_k]
+    own_g = vg.offsets[own_k] + own_i - 1
+    own_j = peer_local[own_g]
+    peer_g = vg.mate[own_g]
+    peer_k = vg.peer_node[own_g]
+    num_own = len(own_k)
 
-    if len(tag_k) > 1:
-        same_pair = (
-            (tag_k[1:] == tag_k[:-1])
-            & (tag_i[1:] == tag_i[:-1])
-            & (tag_j[1:] == tag_j[:-1])
+    # Lemma 2: a node's rows can share a pair only as its own row (i, j)
+    # and a peer row on its port numbered j, the distinguishable port's
+    # twin, when that port's far end is numbered i and is its owner's
+    # distinguishable port.
+    twin = own_g + (own_j - own_i)
+    clash = (own_i != own_j) & (own_j <= degrees[own_k])
+    clash &= peer_local[np.where(clash, twin, 0)] == own_i
+    at = np.flatnonzero(clash)
+    at = at[dn_port[vg.peer_node[twin[at]]] == own_i[at]]
+    if len(at):
+        i, j = int(own_i[at[0]]), int(own_j[at[0]])
+        raise SimulationError(
+            f"Lemma 2 violated: pair {(i, j)} tags two incident edges "
+            f"(ports {min(i, j)} and {max(i, j)})"
         )
-        clash = same_pair & (tag_g[1:] != tag_g[:-1])
-        if clash.any():
-            at = int(np.flatnonzero(clash)[0])
-            pair = (int(tag_i[at]), int(tag_j[at]))
-            raise SimulationError(
-                f"Lemma 2 violated: pair {pair} tags two incident edges "
-                f"(ports {int(local[tag_g[at]])} and "
-                f"{int(local[tag_g[at + 1]])})"
-            )
-        keep = np.ones(len(tag_k), dtype=bool)
-        keep[1:] = ~same_pair  # duplicate (k, i, j, g) rows collapse
-        tag_k = tag_k[keep]
-        tag_i = tag_i[keep]
-        tag_j = tag_j[keep]
-        tag_g = tag_g[keep]
 
-    tables = (dn_port, tag_k, tag_i, tag_j, tag_g)
+    # A mutual distinguishable edge with one port number at both ends
+    # is tagged (i, i) by two own rows; its peer rows would repeat them.
+    mutual = np.flatnonzero(own_i == own_j)
+    mutual = mutual[dn_port[peer_k[mutual]] == own_j[mutual]]
+    kept = np.ones(num_own, dtype=bool)
+    kept[mutual] = False
+    kept = np.flatnonzero(kept)
+    tag_k = np.concatenate([own_k, peer_k[kept]])
+    tag_i = np.concatenate([own_i, own_i[kept]])
+    tag_j = np.concatenate([own_j, own_j[kept]])
+    tag_g = np.concatenate([own_g, peer_g[kept]])
+    partner = np.empty(len(tag_k), dtype=np.int64)
+    partner[num_own:] = kept
+    partner[kept] = np.arange(num_own, len(tag_k))
+    own_row = np.cumsum(dn_port >= 0) - 1  # node → its own row
+    partner[mutual] = own_row[peer_k[mutual]]
+
+    tables = (dn_port, tag_k, tag_i, tag_j, tag_g, partner)
     vg.memo["vector_label"] = tables
     return tables
 
 
-def _entry_groups(vg, ent_step, ent_k, ent_g, extra=()):
-    """Sort schedule entries by ``(step, node)`` and group by step.
+def _entry_groups(vg, ent_step, ent_k):
+    """Order schedule entries by ``(step, node)`` and group them by step.
 
-    Returns ``(steps, starts, ent_k, ent_g, ent_peer, *extra_sorted)``
-    where ``steps``/``starts`` delimit each step's slice and
-    ``ent_peer`` is the absolute index of the mate's entry at the same
-    step (−1 when the mate is not scheduled then) — one ``searchsorted``
-    replaces the per-round inbox.
+    A node appears at most once per step, so ``step · n + node`` is a
+    unique key and one argsort orders the entries.  Returns ``(order,
+    steps, starts)``: the entry indices in that order, and each step
+    with the start of its slice of them.
     """
-    order = np.lexsort((ent_k, ent_step))
-    ent_step = ent_step[order]
-    ent_k = ent_k[order]
-    ent_g = ent_g[order]
-    extra_sorted = tuple(column[order] for column in extra)
-    total = vg.num_ports
-    # Within a step each node appears once, in ascending order, so the
-    # (step, gport) key array is strictly increasing.
-    keys = ent_step * total + ent_g
-    peer_keys = ent_step * total + vg.mate[ent_g]
-    if len(keys):
-        pos = np.searchsorted(keys, peer_keys)
-        pos = np.minimum(pos, len(keys) - 1)
-        ent_peer = np.where(keys[pos] == peer_keys, pos, -1)
-    else:
-        ent_peer = keys
-    first = _run_starts(ent_step)
-    starts = np.append(first, len(ent_step))
-    return (ent_step[first], starts, ent_k, ent_g, ent_peer) + extra_sorted
+    order = np.argsort(ent_step * vg.num_nodes + ent_k)
+    counts = np.bincount(ent_step)
+    steps = np.flatnonzero(counts)
+    starts = np.zeros(len(steps) + 1, dtype=np.int64)
+    np.cumsum(counts[steps], out=starts[1:])
+    return order, steps, starts
+
+
+def _positions(order):
+    """The inverse permutation of *order*: each entry's sorted index."""
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    return position
 
 
 def _step_slice(steps, starts, step):
@@ -290,38 +290,74 @@ class _VectorLabelAware(VectorProgram):
 
 
 def _regular_odd_schedule(vg):
-    """The two-phase pair schedule as grouped entry arrays, memoised."""
+    """The two-phase pair schedule as grouped entry arrays, memoised.
+
+    A row's step depends on its own node's degree, so the two ends of a
+    tagged edge meet at one step only when their degrees agree.  An
+    entry's peer is whichever of the mate port's at most four entries
+    (two rows × two phases) falls on the same step, or −1.
+    """
     try:
         return vg.memo["vector_regular_odd"]
     except KeyError:
         pass
-    _, tag_k, tag_i, tag_j, tag_g = _label_tables(vg)
-    d = vg.degrees[tag_k]
+    dn_port, tag_k, tag_i, tag_j, tag_g, partner = _label_tables(vg)
+    degrees = vg.degrees
+    d = degrees[tag_k]
     # A pair can name a *peer* port number beyond this node's own
     # degree; the node's d-bounded schedule never reaches it.
-    keep = (tag_i <= d) & (tag_j <= d)
-    tag_k = tag_k[keep]
-    tag_g = tag_g[keep]
-    d = d[keep]
-    step1 = (tag_i[keep] - 1) * d + (tag_j[keep] - 1)
-    ent_step = np.concatenate([step1, step1 + d * d])
-    ent_k = np.concatenate([tag_k, tag_k])
-    ent_g = np.concatenate([tag_g, tag_g])
-    phase2 = np.zeros(len(ent_step), dtype=bool)
-    phase2[len(step1):] = True
-    groups = _entry_groups(vg, ent_step, ent_k, ent_g, extra=(phase2,))
+    rows = np.flatnonzero((tag_i <= d) & (tag_j <= d))
+    num = len(rows)
+    row_step = (tag_i - 1) * d + (tag_j - 1)
+    slot = np.full(len(tag_k), -1, dtype=np.int64)  # row → phase-1 entry
+    slot[rows] = np.arange(num)
+    ent_k = tag_k[rows]
+    ent_g = tag_g[rows]
+    ent_step = np.concatenate([row_step[rows], row_step[rows]])
+    ent_step[num:] += d[rows] * d[rows]
 
-    degrees = vg.degrees
+    # At equal degrees an entry's peer is its partner row's entry in the
+    # same phase: the mate port's other row has the reversed pair, which
+    # falls on another step.  Where the degrees differ, any of the mate
+    # port's entries may: those of the far node's own row when its
+    # distinguishable port is the mate, and of the partner of this
+    # node's own row when its distinguishable port is this one.
+    mate = slot[partner[rows]]
+    unsorted_peer = np.stack([mate, mate + num])
+    unequal = np.flatnonzero(d[partner[rows]] != d[rows])
+    own_row = np.cumsum(dn_port >= 0) - 1  # node → its own row
+    k = ent_k[unequal]
+    g = ent_g[unequal]
+    far = vg.peer_node[g]
+    far_square = degrees[far] * degrees[far]
+    want = ent_step.reshape(2, num)[:, unequal]
+    peer = np.full(want.shape, -1, dtype=np.int64)
+    for row in (
+        np.where(dn_port[far] == vg.peer_local[g], own_row[far], -1),
+        np.where(dn_port[k] == vg.local[g], partner[own_row[k]], -1),
+    ):
+        entry = np.where(row >= 0, slot[row], -1)
+        for phase in (0, 1):
+            hit = (entry >= 0) & (want == row_step[row] + phase * far_square)
+            np.copyto(peer, entry + phase * num, where=hit)
+    unsorted_peer[:, unequal] = peer
+
+    order, steps, starts = _entry_groups(
+        vg, ent_step, np.concatenate([ent_k, ent_k])
+    )
+    ent_peer = unsorted_peer.ravel()[order]
+    linked = ent_peer >= 0
+    ent_peer[linked] = _positions(order)[ent_peer[linked]]
+    ent_ph2 = order >= num
+    order[ent_ph2] -= num  # the entry's row, as a phase-1 entry
+    groups = (steps, starts, ent_k[order], ent_g[order], ent_peer, ent_ph2)
+
     halt_k = np.flatnonzero(degrees > 0)
-    halt_step = 2 * degrees[halt_k] * degrees[halt_k] - 1
-    order = np.lexsort((halt_k, halt_step))
-    halt_k = halt_k[order]
-    halt_step = halt_step[order]
-    first = _run_starts(halt_step)
-    halt_steps = halt_step[first]
-    halt_starts = np.append(first, len(halt_step))
+    order, halt_steps, halt_starts = _entry_groups(
+        vg, 2 * degrees[halt_k] * degrees[halt_k] - 1, halt_k
+    )
 
-    sched = groups + (halt_steps, halt_starts, halt_k)
+    sched = groups + (halt_steps, halt_starts, halt_k[order])
     vg.memo["vector_regular_odd"] = sched
     return sched
 
@@ -423,9 +459,16 @@ def _bounded_schedule(vg, delta):
     for local in range(1 + 2 * delta):
         schedule.append(("III", local))
 
-    _, tag_k, tag_i, tag_j, tag_g = _label_tables(vg)
-    ent_step = (tag_i - 1) * delta + (tag_j - 1)
-    groups = _entry_groups(vg, ent_step, tag_k, tag_g)
+    _, tag_k, tag_i, tag_j, tag_g, partner = _label_tables(vg)
+    order, steps, starts = _entry_groups(
+        vg, (tag_i - 1) * delta + (tag_j - 1), tag_k
+    )
+    # Both ends of a tagged edge schedule its pair at the same step, so
+    # an entry's peer is its partner row's entry.
+    groups = (
+        steps, starts, tag_k[order], tag_g[order],
+        _positions(order)[partner[order]],
+    )
     memoed = (tuple(schedule), groups)
     vg.memo["vector_bounded", delta] = memoed
     return memoed
@@ -447,7 +490,6 @@ class VectorBoundedDegree(_VectorLabelAware):
         "schedule",
         "total_steps",
         "_pairs",
-        "peer_degree",
         "m_port",
         "m_cov",
         "p_flag",
@@ -473,7 +515,6 @@ class VectorBoundedDegree(_VectorLabelAware):
         self.total_steps = len(self.schedule)
         vg = self.vg
         n = vg.num_nodes
-        self.peer_degree = vg.degrees[vg.peer_node]
         self.m_port = np.full(n, -1, dtype=np.int64)
         self.m_cov = np.zeros(n, dtype=bool)
         self.p_flag = np.zeros(vg.num_ports, dtype=bool)
@@ -556,10 +597,9 @@ class VectorBoundedDegree(_VectorLabelAware):
         else:
             self._start_h()
 
-    def _set_queues(self, port_mask):
-        """Rebuild the flat proposal queues from a per-port mask."""
+    def _set_queues(self, queued):
+        """Rebuild the flat proposal queues from ascending global ports."""
         vg = self.vg
-        queued = np.flatnonzero(port_mask)
         counts = np.bincount(
             vg.port_node[queued], minlength=vg.num_nodes
         )
@@ -573,7 +613,9 @@ class VectorBoundedDegree(_VectorLabelAware):
 
         Black (uncovered, degree == stage) nodes queue their ports
         towards uncovered smaller-degree neighbours; whites (uncovered,
-        degree < stage) are eligible acceptors.
+        degree < stage) are eligible acceptors.  A black node's ports
+        are ``offsets[k] + 0 … stage − 1``, so the queues are read off
+        the black nodes alone.
         """
         vg = self.vg
         degrees = vg.degrees
@@ -581,13 +623,10 @@ class VectorBoundedDegree(_VectorLabelAware):
         self._phase3 = False
         self.white_eligible = uncovered & (degrees < stage)
         self.stage_accepted[:] = False
-        owner = vg.port_node
-        self._set_queues(
-            uncovered[owner]
-            & (degrees[owner] == stage)
-            & (self.peer_degree < stage)
-            & uncovered[vg.peer_node]
-        )
+        black = np.flatnonzero(uncovered & (degrees == stage))
+        ports = (vg.offsets[black, None] + np.arange(stage)).ravel()
+        far = vg.peer_node[ports]
+        self._set_queues(ports[(degrees[far] < stage) & uncovered[far]])
 
     def _start_h(self):
         """Phase III setup: every uncovered node proposes along its
@@ -596,7 +635,9 @@ class VectorBoundedDegree(_VectorLabelAware):
         uncovered = ~self.m_cov
         self._phase3 = True
         self.accepted_in[:] = False
-        self._set_queues(uncovered[vg.port_node] & uncovered[vg.peer_node])
+        self._set_queues(
+            np.flatnonzero(uncovered[vg.port_node] & uncovered[vg.peer_node])
+        )
         self.out_done = self.cursor >= self.queue_end
 
     def _propose(self, rnd):

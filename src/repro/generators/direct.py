@@ -50,7 +50,10 @@ Edges = tuple[np.ndarray, np.ndarray]
 
 def _q(values: np.ndarray) -> array:
     out = array("q")
-    out.frombytes(values.astype(np.int64, copy=False).tobytes())
+    # One copy: frombytes reads the int64 buffer through a memoryview.
+    out.frombytes(
+        memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B")
+    )
     return out
 
 

@@ -104,9 +104,8 @@ class VectorProgram(abc.ABC):
     """All nodes of one graph, stepped together as numpy arrays.
 
     State the scheduler reads: ``running`` (a numpy bool array over node
-    indices) and ``num_running``, ``newly_halted`` (node indices halted
-    by the latest :meth:`step_all`, in node order), and the
-    ``delivered``/``dropped`` counters.  Flags it sets before the loop:
+    indices) and ``num_running``, and the ``delivered``/``dropped``
+    counters.  Flags it sets before the loop:
     ``record`` (keep trace slabs), ``strict`` (raise on sends to halted
     nodes instead of dropping) and ``collect`` (count messages for
     telemetry).  Outputs are not per-node sets: halting nodes write
@@ -125,7 +124,6 @@ class VectorProgram(abc.ABC):
         "running",
         "num_running",
         "selected",
-        "newly_halted",
         "record",
         "strict",
         "collect",
@@ -146,14 +144,14 @@ class VectorProgram(abc.ABC):
         self.running = vg.degrees > 0
         self.num_running = int(self.running.sum())
         self.selected = np.zeros(vg.num_ports, dtype=bool)
-        self.newly_halted: list[int] = []
         self.record = False
         self.strict = False
         self.collect = False
         self.delivered = 0
         self.dropped = 0
         self._initial_running = self.num_running
-        #: Per-round lists of (gports, code, a, b, dropped_mask) slabs.
+        #: Per-round lists of (gports, code, a, b, dropped_mask) slabs
+        #: and of halted node indices, kept only under ``record``.
         self._slabs: list[list[tuple]] = []
         self._halted_log: list[list[int]] = []
 
@@ -169,12 +167,10 @@ class VectorProgram(abc.ABC):
 
     def step_all(self, rnd: int) -> None:
         """One full round; trace bookkeeping wraps the kernel step."""
-        self.newly_halted.clear()
         if self.record:
             self._slabs.append([])
+            self._halted_log.append([])
         self._step(rnd)
-        if self.record:
-            self._halted_log.append(list(self.newly_halted))
 
     def deliver(self, rnd: int, gports):
         """Account for this round's sends on *gports* (canonical order).
@@ -223,13 +219,15 @@ class VectorProgram(abc.ABC):
 
         *ports* — an index array or a full-length bool mask over global
         ports — are the ports those nodes output; they must belong to
-        *ks*.  ``None`` halts them with empty output.
+        *ks*.  ``None`` halts them with empty output.  Under ``record``
+        *ks* also go into the round's halted list for the trace.
         """
         if ports is not None:
             self.selected[ports] = True
         self.running[ks] = False
         self.num_running -= len(ks)
-        self.newly_halted.extend(ks.tolist())
+        if self.record:
+            self._halted_log[-1].extend(ks.tolist())
 
     # -- lazy trace --------------------------------------------------------
 
