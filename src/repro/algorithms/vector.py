@@ -630,14 +630,20 @@ class VectorBoundedDegree(_VectorLabelAware):
 
     def _start_h(self):
         """Phase III setup: every uncovered node proposes along its
-        uncovered neighbours; acceptance state starts clean."""
+        uncovered neighbours; acceptance state starts clean.  The
+        queues are read off the uncovered nodes' own ports, which run
+        ``offsets[k] … offsets[k + 1] − 1`` and so come out ascending."""
         vg = self.vg
         uncovered = ~self.m_cov
         self._phase3 = True
         self.accepted_in[:] = False
-        self._set_queues(
-            np.flatnonzero(uncovered[vg.port_node] & uncovered[vg.peer_node])
+        nodes = np.flatnonzero(uncovered)
+        degrees = vg.degrees[nodes]
+        before = np.cumsum(degrees) - degrees
+        ports = np.arange(int(degrees.sum())) + np.repeat(
+            vg.offsets[nodes] - before, degrees
         )
+        self._set_queues(ports[uncovered[vg.peer_node[ports]]])
         self.out_done = self.cursor >= self.queue_end
 
     def _propose(self, rnd):

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.exceptions import AlgorithmContractError
 from repro.portgraph.convert import to_simple_networkx
 from repro.portgraph.graph import PortNumberedGraph
@@ -78,6 +76,8 @@ def maximum_matching_nodes(
         return memo["max_matching_nodes"]
     except KeyError:
         pass
+    import networkx as nx
+
     nx_graph = to_simple_networkx(graph)
     matching = nx.max_weight_matching(nx_graph, maxcardinality=True)
     pairs = frozenset(frozenset(pair) for pair in matching)

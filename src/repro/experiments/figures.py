@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import networkx as nx
-
 from repro.algorithms.bounded_degree import run_bounded_with_split
 from repro.algorithms.port_one import PortOneEDS
 from repro.analysis.costs import compute_cost_certificate
@@ -108,6 +106,8 @@ def figure1() -> FigureArtifact:
     (c) a minimum EDS, (d) a minimum maximal matching — verifying the
     paper's §1.1 claims: (b) is an EDS, |c| = |d|, and (d) is both.
     """
+    import networkx as nx
+
     art = FigureArtifact("figure-1", "edge dominating sets and matchings")
     graph = from_networkx(
         nx.convert_node_labels_to_integers(nx.grid_2d_graph(2, 4))
@@ -430,6 +430,8 @@ def figure8() -> FigureArtifact:
     panels: (a) distinguishable neighbours, (b) the nine matchings
     M(i, j), (c) phase I output, (d) phase II output.
     """
+    import networkx as nx
+
     art = FigureArtifact("figure-8", "M(i, j) and Theorem 4 phases")
     graph = from_networkx(nx.petersen_graph(), random_numbering(8))
 
@@ -485,6 +487,8 @@ def figure8() -> FigureArtifact:
 def figure9() -> FigureArtifact:
     """Figure 9: the anatomy of one A(Δ) run — M, P, D*, internal nodes
     and their costs (the §7.4-§7.7 machinery, executed)."""
+    import networkx as nx
+
     art = FigureArtifact("figure-9", "Section 7 algorithm anatomy")
     graph = from_networkx(
         nx.random_regular_graph(4, 14, seed=9), random_numbering(9)

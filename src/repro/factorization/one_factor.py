@@ -15,14 +15,15 @@ graphs need not admit a 1-factorisation — the paper points at the odd cycle
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.exceptions import FactorizationError
 from repro.factorization.euler import MultiEdge
 from repro.matching.bipartite import maximum_bipartite_matching
 from repro.portgraph.ports import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["one_factorise_bipartite", "one_factorise_bipartite_nx", "is_one_factor"]
 
@@ -101,6 +102,8 @@ def one_factorise_bipartite_nx(graph: nx.Graph) -> list[list[MultiEdge]]:
     The bipartition is recovered by 2-colouring; the graph must be
     connected per component bipartite (networkx determines the sides).
     """
+    import networkx as nx
+
     if graph.is_directed():
         raise FactorizationError("expected an undirected graph")
     try:

@@ -22,14 +22,15 @@ Algorithm (the classical constructive proof):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from repro.exceptions import FactorizationError
 from repro.factorization.euler import Arc, MultiEdge, orient_along_euler
 from repro.matching.bipartite import maximum_bipartite_matching
 from repro.portgraph.ports import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TwoFactor", "two_factorise", "two_factorise_nx", "is_two_factor"]
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.exceptions import ConstructionError
 from repro.generators.direct import (
     from_edge_arrays,
@@ -54,6 +52,7 @@ def random_bounded_degree(
     """
     if max_degree < 1:
         raise ConstructionError("max_degree must be >= 1")
+    import networkx as nx
     graph = nx.gnp_random_graph(n, edge_probability, seed=seed)
     rng = random.Random(seed)
     while True:
@@ -77,6 +76,7 @@ def path(
         raise ConstructionError("path needs n >= 1")
     if numbering is None:
         return from_edge_arrays(n, *path_edges(n), seed)
+    import networkx as nx
     return _convert(nx.path_graph(n), numbering, seed)
 
 
@@ -92,6 +92,7 @@ def grid(
         return from_edge_arrays(
             max(rows, 0) * max(cols, 0), *grid_edges(rows, cols), seed
         )
+    import networkx as nx
     graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))
     return _convert(graph, numbering, seed)
 
@@ -105,6 +106,7 @@ def random_tree(
     """A uniformly random labelled tree on n nodes."""
     if n < 1:
         raise ConstructionError("tree needs n >= 1")
+    import networkx as nx
     if n == 1:
         return _convert(nx.empty_graph(1), numbering, seed)
     graph = nx.random_labeled_tree(n, seed=seed)
@@ -120,6 +122,7 @@ def star(
     """The star with the given number of leaves (max degree = leaves)."""
     if leaves < 1:
         raise ConstructionError("star needs at least one leaf")
+    import networkx as nx
     return _convert(nx.star_graph(leaves), numbering, seed)
 
 
@@ -133,6 +136,7 @@ def caterpillar(
     """A caterpillar tree: a spine path with pendant legs."""
     if spine < 1 or legs_per_node < 0:
         raise ConstructionError("need spine >= 1 and legs >= 0")
+    import networkx as nx
     graph = nx.path_graph(spine)
     next_node = spine
     for v in range(spine):

@@ -23,6 +23,11 @@ replicating two conventions of the dict path:
   given, shuffled by one shared ``random.Random(seed)`` visiting nodes
   in that same repr order (see
   :func:`repro.portgraph.numbering.random_numbering`).
+
+Those n numbering shuffles are replayed in one batch on one word stream
+by :func:`repro.generators.shuffle.shuffled_segments`, which keeps the
+stdlib loop only for degree profiles past its table limit (dense
+graphs such as ``complete(50)``).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from array import array
 
 import numpy as np
 
+from repro.generators.shuffle import shuffled_segments
 from repro.portgraph.arrays import ArrayGraph
 
 __all__ = [
@@ -108,17 +114,7 @@ def from_edge_arrays(
         # The numbering coins: one shuffle per node, in rank order, on
         # an index list of the node's degree — the same MT19937 draws
         # as shuffling its repr-sorted neighbour list.
-        shuffle = random.Random(seed).shuffle
-        local: list[int] = []
-        extend = local.extend
-        for degree in degrees.tolist():
-            index = list(range(degree))
-            shuffle(index)
-            extend(index)
-        perm = perm[
-            np.repeat(offsets[:-1], degrees)
-            + np.array(local, dtype=np.int64)
-        ]
+        perm = perm[shuffled_segments(random.Random(seed), degrees)]
 
     position = np.empty(total, dtype=np.int64)
     position[perm] = np.arange(total, dtype=np.int64)

@@ -5,18 +5,20 @@ Without an explicit ``numbering=`` every family here except
 (:func:`repro.generators.direct.from_edge_arrays`).
 ``random_regular`` draws those edges with an array replay of
 networkx's ``random_regular_graph`` sampler (:func:`_regular_edges`):
-the same ``random.Random(seed)``, the same ``shuffle`` of the same stub
-lists, the same restarts, so the edge set — and with it every record
-and cache entry — is the one networkx draws.  The ``numbering=`` route
-still calls networkx and is the replay's oracle in the tests.
+the same ``random.Random(seed)``, the same shuffles of the same stubs,
+the same restarts, so the edge set — and with it every record and cache
+entry — is the one networkx draws.  Every round's shuffle, restarts
+included, comes from one :class:`~repro.generators.shuffle.ShuffleStream`
+over that generator, so the route runs no per-element Python.  The
+``numbering=`` route still calls networkx and is the replay's oracle in
+the tests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConstructionError
@@ -28,6 +30,7 @@ from repro.generators.direct import (
     hypercube_edges,
     torus_edges,
 )
+from repro.generators.shuffle import ShuffleStream
 from repro.portgraph.convert import from_networkx
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.numbering import (
@@ -35,6 +38,9 @@ from repro.portgraph.numbering import (
     random_numbering,
     sequential_numbering,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_regular",
@@ -102,33 +108,34 @@ def _suitable(edges, potential_edges):
     return False
 
 
-def _first_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, head)``: a stable sort of *values* and, in sorted
-    order, the flags of each run's first element (its first
-    appearance)."""
-    order = np.argsort(values, kind="stable")
+def _first_appearances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, counts)``: for each distinct value of *values*, in
+    ascending order, the index of its first appearance and the number
+    of its appearances."""
+    if not len(values):
+        return values, values
+    order = np.argsort(values)
     ordered = values[order]
     head = np.ones(len(ordered), dtype=bool)
     head[1:] = ordered[1:] != ordered[:-1]
-    return order, head
+    starts = np.flatnonzero(head)
+    # The sort is not stable: each run's least index is its first.
+    first = np.minimum.reduceat(order, starts)
+    return first, np.diff(np.append(starts, len(values)))
 
 
-def _try_creation(
-    d: int, n: int, shuffle: Callable[[list], None]
-) -> np.ndarray | None:
+def _try_creation(d: int, n: int, stream: ShuffleStream) -> np.ndarray | None:
     """One attempt: sorted edge keys ``lo * n + hi``, or ``None``."""
     keys = np.zeros(0, dtype=np.int64)
-    stubs = list(range(n)) * d
-    while stubs:
-        shuffle(stubs)
-        pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
+    stubs = np.tile(np.arange(n, dtype=np.int64), d)
+    while len(stubs):
+        stubs = stubs[stream.order(len(stubs))]
+        lo = np.minimum(stubs[0::2], stubs[1::2])
+        hi = np.maximum(stubs[0::2], stubs[1::2])
         key = lo * n + hi
         # A pair becomes an edge on its first appearance in the round
         # unless it is a loop or an edge of an earlier round.
-        order, head = _first_runs(key)
-        fresh = order[head]
+        fresh, _ = _first_appearances(key)
         fresh = fresh[lo[fresh] != hi[fresh]]
         if len(keys):
             at = np.minimum(np.searchsorted(keys, key[fresh]), len(keys) - 1)
@@ -140,31 +147,29 @@ def _try_creation(
         # ``potential_edges``: each endpoint of a rejected pair, counted
         # in order of first appearance (low end before high end).
         ends = np.column_stack((lo[rejected], hi[rejected])).ravel()
-        order, head = _first_runs(ends)
-        starts = np.flatnonzero(head)
-        counts = np.diff(np.append(starts, len(ends)))
-        by_first = np.argsort(order[starts])
-        potential = ends[order[starts]][by_first]
+        first, counts = _first_appearances(ends)
+        by_first = np.argsort(first)
+        potential = ends[first[by_first]]
         if not _suitable(_EdgeKeys(keys, n), potential.tolist()):
             return None
-        stubs = np.repeat(potential, counts[by_first]).tolist()
+        stubs = np.repeat(potential, counts[by_first])
     return keys
 
 
 def _regular_edges(
-    d: int, n: int, shuffle: Callable[[list], None]
+    d: int, n: int, stream: ShuffleStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """The edges ``nx.random_regular_graph(d, n, seed)`` draws, as two
-    int64 arrays, given that seed's ``shuffle``.
+    int64 arrays, given a stream over that seed's generator.
 
     Each round shuffles the remaining stubs and pairs them off; pairs
     that would repeat an edge or form a loop return their stubs for the
     next round, and an attempt whose leftovers cannot all be placed
     starts over on the same random stream.
     """
-    keys = _try_creation(d, n, shuffle)
+    keys = _try_creation(d, n, stream)
     while keys is None:
-        keys = _try_creation(d, n, shuffle)
+        keys = _try_creation(d, n, stream)
     return keys // n, keys % n
 
 
@@ -188,9 +193,12 @@ def random_regular(
             "(need 0 <= d < n, n*d even)"
         )
     if numbering is None:
-        rng = random if seed is None else random.Random(seed)
-        u, v = _regular_edges(d, n, rng.shuffle)
+        # seed=None: the module-level generator, an exact random.Random.
+        rng = random.shuffle.__self__ if seed is None else random.Random(seed)
+        with ShuffleStream(rng) as stream:
+            u, v = _regular_edges(d, n, stream)
         return from_edge_arrays(n, u, v, seed)
+    import networkx as nx
     return _convert(nx.random_regular_graph(d, n, seed=seed), numbering, seed)
 
 
@@ -205,6 +213,7 @@ def cycle(
         raise ConstructionError(f"cycle needs n >= 3, got {n}")
     if numbering is None:
         return from_edge_arrays(n, *cycle_edges(n), seed)
+    import networkx as nx
     return _convert(nx.cycle_graph(n), numbering, seed)
 
 
@@ -219,6 +228,7 @@ def complete(
         raise ConstructionError(f"complete graph needs n >= 2, got {n}")
     if numbering is None:
         return from_edge_arrays(n, *complete_edges(n), seed)
+    import networkx as nx
     return _convert(nx.complete_graph(n), numbering, seed)
 
 
@@ -236,6 +246,7 @@ def complete_bipartite(
         return from_edge_arrays(
             a + b, *complete_bipartite_edges(a, b), seed
         )
+    import networkx as nx
     return _convert(nx.complete_bipartite_graph(a, b), numbering, seed)
 
 
@@ -247,6 +258,7 @@ def circulant(
     numbering: NumberingStrategy | None = None,
 ) -> PortNumberedGraph:
     """The circulant graph C_n(offsets); regular by construction."""
+    import networkx as nx
     graph = nx.circulant_graph(n, list(offsets))
     return _convert(graph, numbering, seed)
 
@@ -262,6 +274,7 @@ def hypercube(
         raise ConstructionError(f"hypercube needs dim >= 1, got {dim}")
     if numbering is None:
         return from_edge_arrays(1 << dim, *hypercube_edges(dim), seed)
+    import networkx as nx
     graph = nx.convert_node_labels_to_integers(nx.hypercube_graph(dim))
     return _convert(graph, numbering, seed)
 
@@ -280,6 +293,7 @@ def torus(
         return from_edge_arrays(
             rows * cols, *torus_edges(rows, cols), seed
         )
+    import networkx as nx
     graph = nx.convert_node_labels_to_integers(
         nx.grid_2d_graph(rows, cols, periodic=True)
     )
@@ -292,4 +306,5 @@ def petersen(
     numbering: NumberingStrategy | None = None,
 ) -> PortNumberedGraph:
     """The Petersen graph (3-regular, 10 nodes)."""
+    import networkx as nx
     return _convert(nx.petersen_graph(), numbering, seed)

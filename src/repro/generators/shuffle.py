@@ -1,10 +1,22 @@
-"""Replay ``random.Random.shuffle`` of ``range(n)`` in numpy arrays.
+"""Replay ``random.Random.shuffle`` in numpy arrays.
 
 ``x = list(range(n)); rng.shuffle(x)`` costs one Python-level
 ``_randbelow`` call and one swap per entry, then a list → array copy.
-:func:`shuffled_range` returns the same order as an array and leaves
-``rng`` in the same state, so a generator whose output bytes are pinned
-can drop the Python loop without moving a single byte.
+The replays here return the same orders as arrays and leave ``rng`` in
+the same state, so a generator whose output bytes are pinned can drop
+the Python loop without moving a single byte:
+
+* :class:`ShuffleStream` reads ``rng``'s state once, replays successive
+  shuffles with :meth:`~ShuffleStream.order` on one stream of MT19937
+  words, and writes the state back once (the ``regular`` sampler's
+  rounds and restarts);
+* :func:`shuffled_range` is its one-shot use (``pairing_regular``'s
+  stub shuffle);
+* :func:`shuffled_segments` replays many small shuffles in one batch
+  (the numbering's one shuffle per node, :mod:`repro.generators.direct`).
+  It keeps the stdlib loop for shuffles of more than
+  :data:`_TABLE_MAX_SIZE` entries, whose tables would cost more than
+  the loop.
 
 The draws.  CPython's Fisher–Yates visits ``i = n-1, …, 1`` and draws
 ``j = _randbelow(i + 1)``: with ``k = (i + 1).bit_length()`` it takes one
@@ -27,16 +39,26 @@ value the latest earlier step targeting ``j_i`` carried there, or
 found the same way.  One sort of a combined (target, step) key groups
 the writes per target in time order; pointer doubling along the
 "latest earlier writer" links resolves the carried values.
+
+The batch.  Each small shuffle's bounds run ``s, s-1, …, 2``, so the
+draws of a whole sequence of shuffles are known once their sizes are;
+only where each one starts in the word stream depends on the ones
+before.  Tables of "one past the next word bound ``b`` accepts", one
+per bound, compose into jump tables from a shuffle's first word to the
+next one's; a pass over the shuffles reads their starts, and the draws
+and swaps then run bound by bound over all shuffles at once
+(:func:`_segments`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import numpy as np
 
-__all__ = ["shuffled_range"]
+__all__ = ["ShuffleStream", "shuffled_range", "shuffled_segments"]
 
 #: Blocks with at most this many steps are replayed word by word; below
 #: it the numpy passes cost more than the Python loop they replace.
@@ -47,6 +69,12 @@ _BATCH = 1 << 20
 _CHUNK = 1 << 18
 #: MT19937 state words: outputs come in generation blocks of this size.
 _MT_N = 624
+#: Largest shuffle :func:`shuffled_segments` replays on the word stream;
+#: its tables cost words times the largest size, so past the crossover
+#: measured on dense degree profiles the stdlib loop is cheaper.
+_TABLE_MAX_SIZE = 12
+#: Table entries (window words times the largest size) per window at most.
+_TABLE_ENTRIES = 1 << 22
 
 
 class _Words:
@@ -61,18 +89,22 @@ class _Words:
     def __init__(self, internal: tuple[int, ...]) -> None:
         self._key = internal[:-1]
         self._start = internal[-1]
-        # Any seed: the state is overwritten at once.
-        self._bitgen = np.random.MT19937(0)
-        self._bitgen.state = {
-            "bit_generator": "MT19937",
-            "state": {
-                "key": np.array(self._key, dtype=np.uint32),
-                "pos": self._start,
-            },
-        }
+        self._bitgen = None  # built at the first draw
         self._buf = np.empty(0, dtype=np.int64)
         self._base = 0  # index of _buf[0] in the word stream
-        self._used = 0
+        self.used = 0
+
+    def _draw(self, count: int) -> np.ndarray:
+        if self._bitgen is None:
+            self._bitgen = np.random.MT19937(_unseeded())
+            self._bitgen.state = {
+                "bit_generator": "MT19937",
+                "state": {
+                    "key": np.array(self._key, dtype=np.uint32),
+                    "pos": self._start,
+                },
+            }
+        return self._bitgen.random_raw(count).view(np.int64)
 
     def _block_start(self, index: int) -> int:
         """Stream index of the first word of ``index``'s block."""
@@ -81,30 +113,44 @@ class _Words:
     def peek(self, size: int, ahead: int) -> np.ndarray:
         """The next ``size`` unconsumed words; a refill draws at least
         ``ahead`` words."""
-        short = self._used + size - (self._base + len(self._buf))
+        short = self.used + size - (self._base + len(self._buf))
         if short > 0:
-            keep = max(self._base, self._block_start(max(self._used - 1, 0)))
-            fresh = self._bitgen.random_raw(max(short, min(ahead, _BATCH)))
-            self._buf = np.concatenate(
-                (self._buf[keep - self._base:], fresh.view(np.int64))
-            )
+            keep = max(self._base, self._block_start(max(self.used - 1, 0)))
+            fresh = self._draw(max(short, min(ahead, _BATCH)))
+            self._buf = np.concatenate((self._buf[keep - self._base:], fresh))
             self._base = keep
-        first = self._used - self._base
+        first = self.used - self._base
         return self._buf[first:first + size]
 
     def consume(self, count: int) -> None:
-        self._used += count
+        self.used += count
 
     def state(self) -> tuple[int, ...]:
         """CPython's internal state after the consumed words."""
-        last = self._used - 1
+        last = self.used - 1
         pos = (last + self._start) % _MT_N + 1
         first = self._block_start(last)
         if first < 0:
             return self._key + (pos,)
-        self.peek(first + _MT_N - self._used, 0)
+        self.peek(first + _MT_N - self.used, 0)
         block = self._buf[first - self._base:first - self._base + _MT_N]
         return tuple(_untemper(block).tolist()) + (pos,)
+
+
+@functools.cache
+def _unseeded():
+    """A seed sequence that hands MT19937 zeros.
+
+    The state is overwritten right after construction, so hashing a real
+    seed (two thirds of the construction's time) would be wasted.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Zeros(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return Zeros()
 
 
 def _untemper(y: np.ndarray) -> np.ndarray:
@@ -197,30 +243,217 @@ def _draw_block(
         b -= count
 
 
+class ShuffleStream:
+    """Successive ``rng.shuffle`` calls replayed on one word stream.
+
+    Opening the stream reads ``rng``'s state once and builds one MT19937
+    bit generator; each :meth:`order` draws from the words that follow,
+    and leaving the ``with`` block writes back the state ``rng`` would
+    hold after the same shuffles made by the stdlib (``gauss_next``
+    kept).  Draw nothing else from ``rng`` while the stream is open.
+    Only an exact :class:`random.Random` is accepted: a subclass may
+    draw differently.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        if type(rng) is not random.Random:
+            raise TypeError(
+                f"the shuffle replay takes random.Random only, not "
+                f"{type(rng).__name__}"
+            )
+        self._rng = rng
+        self._version, internal, self._gauss_next = rng.getstate()
+        self._words = _Words(internal)
+
+    def __enter__(self) -> ShuffleStream:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Write the generator state after the consumed words back."""
+        if self._words.used:
+            self._rng.setstate(
+                (self._version, self._words.state(), self._gauss_next)
+            )
+
+    def order(self, m: int) -> np.ndarray:
+        """The order the next ``x = list(range(m)); rng.shuffle(x)``
+        leaves in ``x``, as an int64 array.  Shuffling a list ``a`` of
+        length ``m`` leaves ``a[order(m)]``."""
+        if not 0 <= m < 1 << 31:
+            raise ValueError(f"the shuffle replay needs 0 <= m < 2**31, got {m}")
+        if m < 2:
+            return np.arange(m, dtype=np.int64)
+        # target[i] is the j drawn at step i, under bound i + 1.
+        target = np.zeros(m, dtype=np.int32)
+        for k in range(m.bit_length(), 1, -1):
+            _draw_block(
+                self._words, k, min(m, (1 << k) - 1), max(2, 1 << (k - 1)),
+                target,
+            )
+        return _compose(target, m)
+
+
 def shuffled_range(rng: random.Random, n: int) -> np.ndarray:
     """The order ``x = list(range(n)); rng.shuffle(x)`` leaves in ``x``.
 
     Returns it as an int64 array and advances ``rng`` exactly as that
-    call does (equal ``getstate()`` afterwards, ``gauss_next`` kept).
-    Only an exact :class:`random.Random` is accepted: a subclass may
-    draw differently.
+    call does: the one-shot use of :class:`ShuffleStream`.
     """
-    if type(rng) is not random.Random:
-        raise TypeError(
-            f"shuffled_range replays random.Random only, not {type(rng).__name__}"
+    with ShuffleStream(rng) as stream:
+        return stream.order(n)
+
+
+def shuffled_segments(rng: random.Random, sizes: np.ndarray) -> np.ndarray:
+    """Successive shuffles of ``range(s)``, one per ``s`` in ``sizes``.
+
+    Returns one int64 permutation of ``range(sum(sizes))``: segment
+    ``k`` (the ``sizes[k]`` entries from ``sizes[:k].sum()`` on) holds
+    the order ``x = list(range(sizes[k])); rng.shuffle(x)`` leaves,
+    offset by the segment's start, and ``rng`` is advanced as by those
+    calls in turn.  Up to :data:`_TABLE_MAX_SIZE` the draws come from
+    one word stream (:func:`_segments`); past it the table work would
+    grow as words times the largest size, so the stdlib shuffles run.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(sizes) and int(sizes.max()) > _TABLE_MAX_SIZE:
+        shuffle = rng.shuffle
+        local: list[int] = []
+        extend = local.extend
+        for size in sizes.tolist():
+            index = list(range(size))
+            shuffle(index)
+            extend(index)
+        return np.repeat(np.cumsum(sizes) - sizes, sizes) + np.array(
+            local, dtype=np.int64
         )
-    if not 0 <= n < 1 << 31:
-        raise ValueError(f"shuffled_range needs 0 <= n < 2**31, got {n}")
-    if n < 2:
-        return np.arange(n, dtype=np.int64)
-    version, internal, gauss_next = rng.getstate()
-    words = _Words(internal)
-    # target[i] is the j drawn at step i, under bound i + 1.
-    target = np.zeros(n, dtype=np.int32)
-    for k in range(n.bit_length(), 1, -1):
-        _draw_block(words, k, min(n, (1 << k) - 1), max(2, 1 << (k - 1)), target)
-    rng.setstate((version, words.state(), gauss_next))
-    return _compose(target, n)
+    with ShuffleStream(rng) as stream:
+        return _segments(stream._words, sizes)
+
+
+def _expected_words(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the words one shuffle of ``range(s)`` takes,
+    for ``s = 0 … top``: a draw under bound ``b`` of bit length ``k``
+    takes a geometric number of words with success ``b / 2**k``."""
+    mean = np.zeros(top + 1)
+    var = np.zeros(top + 1)
+    for b in range(2, top + 1):
+        p = b / (1 << b.bit_length())
+        mean[b] = mean[b - 1] + 1 / p
+        var[b] = var[b - 1] + (1 - p) / (p * p)
+    return mean, var
+
+
+def _segments(words: _Words, sizes: np.ndarray) -> np.ndarray:
+    """:func:`shuffled_segments` on a word stream.
+
+    The draws are known up front: segment ``k`` draws ``_randbelow(b)``
+    for ``b = sizes[k] … 2``, each from the first word after the
+    previous draw's whose top ``b.bit_length()`` bits are below ``b``.
+    Over a window of words, :func:`_jump_tables` says where each
+    segment size, started at any word, stops; one pass over the
+    segments reads off where each starts.  Then, bound by bound from the
+    largest, every segment still drawing gathers its draw and swaps its
+    two entries.  The segments that run past the window wait for the
+    next one.
+    """
+    total = int(sizes.sum())
+    out = np.arange(total, dtype=np.int64)
+    drawing = np.flatnonzero(sizes >= 2)
+    if not len(drawing):
+        return out
+    first = (np.cumsum(sizes) - sizes)[drawing]
+    sizes = sizes[drawing]
+    mean, var = _expected_words(int(sizes.max()))
+    done = 0
+    while done < len(sizes):
+        rest = sizes[done:]
+        top = int(rest.max())
+        present = set(np.flatnonzero(np.bincount(rest)).tolist())
+        # Past the expected words by eight standard deviations: one
+        # window, bar a cap on the tables' size.
+        span = min(
+            int(mean[rest].sum() + 8 * math.sqrt(var[rest].sum())) + 64,
+            max(_TABLE_ENTRIES // top, int(mean[top]) + 64),
+        )
+        while True:
+            w = words.peek(span, span)
+            after, jump = _jump_tables(w, top, present)
+            starts = []
+            t = 0
+            # Every draw takes a word, so at most span segments fit.
+            for s in rest[:span].tolist():
+                t_next = jump[s].item(t)
+                if t_next > span:
+                    break
+                starts.append(t)
+                t = t_next
+            if starts:
+                break
+            span *= 2
+        words.consume(t)
+        count = len(starts)
+        chosen = rest[:count]
+        by_size = np.argsort(-chosen, kind="stable")
+        at = np.array(starts, dtype=np.int64)[by_size]
+        base = first[done:done + count][by_size]
+        at_least = np.cumsum(np.bincount(chosen, minlength=top + 1)[::-1])[::-1]
+        for b in range(top, 1, -1):
+            c = int(at_least[b])
+            if not c:
+                continue
+            # at[:c] are the segments of size >= b, largest first.
+            at[:c] = after[b][at[:c]]
+            i = base[:c] + (b - 1)
+            j = base[:c] + (w[at[:c] - 1] >> (32 - b.bit_length()))
+            held = out[i]
+            out[i] = out[j]
+            out[j] = held
+        done += count
+    return out
+
+
+def _jump_tables(
+    w: np.ndarray, top: int, sizes: set[int]
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """``(after, jump)`` over the window ``w`` of ``L`` words.
+
+    ``after[b][t]`` is one past the first word at or after ``t`` whose
+    top bits bound ``b`` accepts, for ``b = 2 … top``; ``jump[s][t]`` is
+    where a shuffle of ``range(s)`` started at word ``t`` stops, for
+    each ``s`` in ``sizes``.  Both are ``L + 1`` where the window runs
+    out, and ``L + 1`` maps to itself.
+    """
+    span = len(w)
+    past = span + 1
+    # accepted[t] = t + 1 if bound b accepts word t, else past: computed
+    # as past - mask * (past - t - 1), since a masked copy mispredicts a
+    # branch on every other word.
+    to_past = np.arange(span, 0, -1, dtype=np.int64)
+    accepted = np.empty(span, dtype=np.int64)
+    mask = np.empty(span, dtype=bool)
+    after: dict[int, np.ndarray] = {}
+    jump: dict[int, np.ndarray] = {}
+    composed = np.arange(span + 2, dtype=np.int64)
+    bits = w
+    for b in range(2, top + 1):
+        if b & (b - 1) == 0:  # a new bit length
+            bits = w >> (32 - b.bit_length())
+        np.less(bits, b, out=mask)
+        np.multiply(mask, to_past, out=accepted)
+        np.subtract(past, accepted, out=accepted)
+        table = np.empty(span + 2, dtype=np.int64)
+        np.minimum.accumulate(accepted[::-1], out=table[span - 1::-1])
+        table[span:] = past
+        after[b] = table
+        # A shuffle of range(b) draws under b first, then as one of
+        # range(b - 1).
+        composed = composed[table]
+        if b in sizes:
+            jump[b] = composed
+    return after, jump
 
 
 def _compose(target: np.ndarray, n: int) -> np.ndarray:

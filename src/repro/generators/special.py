@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConstructionError
 from repro.portgraph.convert import from_networkx
@@ -13,6 +13,9 @@ from repro.portgraph.numbering import (
     sequential_numbering,
 )
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = ["crown", "crown_nx", "matching_union", "component_h_nx"]
 
 
@@ -22,6 +25,8 @@ def crown_nx(k: int) -> nx.Graph:
     This is the shape of the edge set T(ℓ) in the Theorem 2 construction
     (paper §4.1): ``{a_i, b_j}`` for all ``i != j``.
     """
+    import networkx as nx
+
     if k < 2:
         raise ConstructionError(f"crown graph needs k >= 2, got {k}")
     graph = nx.Graph()
@@ -52,6 +57,8 @@ def matching_union(
     numbering: NumberingStrategy | None = None,
 ) -> PortNumberedGraph:
     """A perfect matching on 2 * pairs nodes (1-regular)."""
+    import networkx as nx
+
     if pairs < 1:
         raise ConstructionError("need at least one pair")
     graph = nx.Graph((2 * t, 2 * t + 1) for t in range(pairs))
@@ -64,6 +71,8 @@ def component_h_nx(k: int, label: int = 1) -> nx.Graph:
     Star R(ℓ) + matching S(ℓ) + crown T(ℓ) on ``4k + 1`` nodes
     (paper §4.1, Figure 5).  Exposed for the figure reproductions.
     """
+    import networkx as nx
+
     if k < 1:
         raise ConstructionError(f"component H needs k >= 1, got {k}")
     a = [f"a{label}_{i}" for i in range(1, 2 * k + 1)]

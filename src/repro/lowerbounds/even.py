@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.exceptions import ConstructionError
 from repro.lowerbounds.instance import LowerBoundInstance
 from repro.portgraph.builder import PortGraphBuilder
@@ -55,6 +53,8 @@ def build_even_lower_bound(d: int) -> LowerBoundInstance:
     certificate for ``S``, and the covering map onto the one-node
     quotient.
     """
+    import networkx as nx
+
     if d < 2 or d % 2:
         raise ConstructionError(
             f"Theorem 1 construction needs even d >= 2, got {d}"

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.exceptions import ConstructionError
 from repro.factorization.two_factor import two_factorise_nx
 from repro.lowerbounds.instance import LowerBoundInstance
@@ -77,6 +75,8 @@ def build_odd_lower_bound(d: int) -> LowerBoundInstance:
     Fully verified on return: d-regularity, the |D*| = (k+1)d optimality
     certificate, and the covering map onto the hub quotient of §4.3.
     """
+    import networkx as nx
+
     if d < 1 or d % 2 == 0:
         raise ConstructionError(
             f"Theorem 2 construction needs odd d >= 1, got {d}"

@@ -212,7 +212,8 @@ class ArrayGraph(PortNumberedGraph):
         try:
             return cg.memo["max_degree"]
         except KeyError:
-            value = max(cg.degrees, default=0)
+            degrees = np.diff(np.frombuffer(cg.offsets, dtype=np.int64))
+            value = int(degrees.max()) if len(degrees) else 0
             cg.memo["max_degree"] = value
             return value
 

@@ -9,14 +9,15 @@ edges remember their port pairs.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import GraphValidationError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.numbering import NumberingStrategy, sequential_numbering
 from repro.portgraph.ports import Node, Port
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["from_networkx", "to_networkx", "from_neighbour_orders"]
 
@@ -102,6 +103,8 @@ def to_networkx(graph: PortNumberedGraph) -> nx.MultiGraph:
     it attaches; directed loops (involution fixed points) become self-loops
     with attribute ``directed_loop=True``.
     """
+    import networkx as nx
+
     result = nx.MultiGraph()
     result.add_nodes_from(graph.nodes)
     for edge in graph.edges:
@@ -120,6 +123,8 @@ def to_simple_networkx(graph: PortNumberedGraph) -> nx.Graph:
     Raises :class:`~repro.exceptions.NotSimpleGraphError` if the graph has
     loops or parallel edges.
     """
+    import networkx as nx
+
     graph.require_simple()
     result = nx.Graph()
     result.add_nodes_from(graph.nodes)

@@ -21,12 +21,13 @@ Strategies provided here:
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.exceptions import NotRegularGraphError
 from repro.portgraph.ports import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "NumberingStrategy",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 #: A numbering strategy maps a graph to {node: ordered neighbours}.
-NumberingStrategy = Callable[[nx.Graph], Mapping[Node, Sequence[Node]]]
+NumberingStrategy = Callable[["nx.Graph"], Mapping[Node, Sequence[Node]]]
 
 
 def sequential_numbering(graph: nx.Graph) -> dict[Node, tuple[Node, ...]]:

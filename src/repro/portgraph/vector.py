@@ -79,7 +79,7 @@ class VectorGraph:
         self.offsets = np.frombuffer(cg.offsets, dtype=np.int64)
         self.mate = np.frombuffer(cg.mate, dtype=np.int64)
         self.port_node = np.frombuffer(cg.port_node, dtype=np.int64)
-        self.degrees = np.asarray(cg.degrees, dtype=np.int64)
+        self.degrees = np.diff(self.offsets)
         self.all_ports = np.arange(total, dtype=np.int64)
         self.local = self.all_ports - self.offsets[self.port_node] + 1
         self.peer_node = self.port_node[self.mate]

@@ -12,8 +12,10 @@ through explicit constructions and random lifts.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 try:
     from hypothesis import strategies as st
@@ -46,6 +48,8 @@ def nx_graphs(
 
     @st.composite
     def build(draw: st.DrawFn) -> nx.Graph:
+        import networkx as nx
+
         n = draw(st.integers(min_value=1, max_value=max_nodes))
         seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
         p = draw(st.floats(min_value=0.05, max_value=0.9))
@@ -72,6 +76,8 @@ def regular_nx_graphs(
 
     @st.composite
     def build(draw: st.DrawFn) -> nx.Graph:
+        import networkx as nx
+
         d = draw(st.sampled_from(degrees))
         candidates = [
             n for n in range(d + 1, max_nodes + 1) if (n * d) % 2 == 0
@@ -105,6 +111,8 @@ def odd_regular_port_graphs(
 
     @st.composite
     def build(draw: st.DrawFn) -> PortNumberedGraph:
+        import networkx as nx
+
         d = draw(st.sampled_from(degrees))
         candidates = [
             n for n in range(d + 1, max_nodes + 1) if (n * d) % 2 == 0

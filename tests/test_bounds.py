@@ -462,8 +462,6 @@ class TestSharedFractionalSolver:
 class TestBlossomMemo:
     def test_blossom_runs_once_per_graph(self, monkeypatch):
         import networkx
-        import repro.eds.bounds as eds_bounds
-
         calls = []
         real = networkx.max_weight_matching
 
@@ -471,9 +469,8 @@ class TestBlossomMemo:
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(
-            eds_bounds.nx, "max_weight_matching", counting
-        )
+        # repro.eds.bounds imports networkx where it runs blossom.
+        monkeypatch.setattr(networkx, "max_weight_matching", counting)
         g = REGULAR_FAMILIES[6][1]()  # torus-3x3
         first = maximum_matching_size(g)
         assert maximum_matching_size(g) == first

@@ -13,15 +13,21 @@ cached records under unchanged keys.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import ConstructionError
 from repro.generators.direct import _repr_order
 from repro.generators.regular import _regular_edges, random_regular
+from repro.generators.shuffle import ShuffleStream
 from repro.portgraph.arrays import ArrayGraph
 from repro.portgraph.numbering import sequential_numbering
 
@@ -54,7 +60,8 @@ def graph_edge_set(graph) -> set[tuple[int, int]]:
 class TestReplayMatchesNetworkx:
     def test_grid_edge_sets(self):
         for d, n, seed in GRID:
-            u, v = _regular_edges(d, n, random.Random(seed).shuffle)
+            with ShuffleStream(random.Random(seed)) as stream:
+                u, v = _regular_edges(d, n, stream)
             expected = nx.random_regular_graph(d, n, seed=seed)
             assert edge_set(u, v) == {
                 tuple(sorted(e)) for e in expected.edges
@@ -156,3 +163,33 @@ class TestInputs:
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 1234])
 def test_repr_order(n):
     assert _repr_order(n).tolist() == sorted(range(n), key=repr)
+
+
+#: One certified unit on each default regular route through the public
+#: API, then the modules they loaded.
+DEFAULT_ROUTES_SCRIPT = """
+import sys
+import repro.api as api
+from repro.engine.spec import GraphSpec
+for family, algorithm in [("regular", "port_one"),
+                          ("pairing_regular", "bounded_degree")]:
+    api.run_one(
+        algorithm, GraphSpec.make(family, d=4, n=256, seed=1),
+        optimum="dual_bound",
+    )
+print("networkx" in sys.modules)
+"""
+
+
+def test_default_routes_leave_networkx_unimported():
+    # Neither default regular route calls networkx, so a process that
+    # only runs them never pays its import.
+    env = dict(os.environ)
+    src = Path(repro.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", DEFAULT_ROUTES_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
