@@ -5,7 +5,8 @@ A set ``D`` of edges is an *edge dominating set* (EDS) when every edge of
 the graph is dominated by some edge of ``D``.  These predicates operate on
 sets of :class:`~repro.portgraph.ports.PortEdge` and are deliberately
 independent of the matching substrate (no import cycle).
-:func:`is_edge_dominating_set` also reads a simulation's mask-backed
+:func:`is_edge_dominating_set` checks on the graph's CSR arrays, and
+reads a simulation's mask-backed
 :class:`~repro.runtime.outputs.EdgeSelection` straight off its port mask.
 """
 
@@ -54,34 +55,6 @@ def undominated_edges(
     return frozenset(graph.edges) - dominated_edges(graph, dominating)
 
 
-def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
-    """Array fast path for :func:`is_edge_dominating_set`, or ``None``.
-
-    Engages only when the graph's compiled arrays already exist (the
-    direct-to-CSR generators build them up front; dict-built graphs get
-    them after the first simulation) — feasibility then costs two
-    gathers and an OR over the port arrays instead of materialising
-    every :class:`PortEdge`.  Semantics match the set-based
-    check exactly: an edge is dominated iff one of its endpoints is an
-    endpoint of some dominating edge (dominating edges whose endpoints
-    are not graph nodes cover nothing, as in the set version, where a
-    foreign endpoint never intersects a graph edge).
-    """
-    compiled = getattr(graph, "_compiled", None)
-    if compiled is None:
-        return None
-    if compiled.num_ports == 0:
-        return True  # no edges: everything (vacuously) dominated
-    covered = np.zeros(compiled.num_nodes, dtype=bool)
-    index = compiled.node_index
-    for e in dominating:
-        for v in e.endpoints:
-            k = index.get(v)
-            if k is not None:
-                covered[k] = True
-    return _covers_every_edge(compiled, covered)
-
-
 def _covers_every_edge(compiled, covered) -> bool:
     """Whether every edge has an endpoint in the node mask *covered*."""
     port_node = np.frombuffer(compiled.port_node, dtype=np.int64)
@@ -95,17 +68,26 @@ def is_edge_dominating_set(
 ) -> bool:
     """True when every edge of *graph* is dominated (paper §1.1).
 
-    A mask-backed selection of this same graph is checked on its port
-    mask without building a single :class:`PortEdge`.
+    The check runs on the graph's CSR arrays: a node mask of the
+    endpoints of *dominating*, then two gathers and an OR over the
+    ports, with no :class:`PortEdge` of the graph built.  A mask-backed
+    selection of this same graph reads its node mask off its port mask.
+    Dominating edges whose endpoints are not graph nodes cover nothing,
+    as in the set definition (:func:`undominated_edges`).
     """
+    compiled = graph.compiled()
+    if compiled.num_ports == 0:
+        return True  # no edges: everything (vacuously) dominated
     if isinstance(dominating, EdgeSelection) and dominating.graph is graph:
-        return _covers_every_edge(
-            graph.compiled(), dominating.covered_nodes()
-        )
-    fast = _is_eds_arrays(graph, dominating)
-    if fast is not None:
-        return fast
-    return not undominated_edges(graph, dominating)
+        return _covers_every_edge(compiled, dominating.covered_nodes())
+    covered = np.zeros(compiled.num_nodes, dtype=bool)
+    index = compiled.node_index
+    for e in dominating:
+        for v in e.endpoints:
+            k = index.get(v)
+            if k is not None:
+                covered[k] = True
+    return _covers_every_edge(compiled, covered)
 
 
 def domination_deficiency(

@@ -83,23 +83,16 @@ def build_graph(spec: GraphSpec) -> PortNumberedGraph | LowerBoundInstance:
     """Build a unit's graph under the ``graph_build`` span.
 
     ``graph_build`` keeps only coordination self-time: the generator
-    runs under the ``graph_build:generate`` child, and the lowering
-    steps triggered later (``graph_build:compile`` in
-    ``PortNumberedGraph.compiled``, ``graph_build:vector_view`` in
-    ``CompiledGraph.vector``) record themselves wherever they fire, so
-    the phase table pins exactly which build stage dominates.  On the
-    direct-to-CSR path the generator emits compiled arrays itself, so
-    ``generate`` covers the array synthesis and ``compile`` never
-    fires; the span is tagged ``direct`` so the report can tell the
-    two shapes apart, and the build counters feed the edges/s line.
+    runs under the ``graph_build:generate`` child.  A graph built from
+    ``(d, p)`` dicts lowers them to arrays under its own
+    ``graph_build:compile`` span, and ``graph_build:vector_view``
+    (``CompiledGraph.vector``) records itself wherever it fires, so the
+    phase table pins exactly which build stage dominates.  The build
+    counters feed the edges/s line.
     """
-    with span("graph_build", family=spec.family) as build:
+    with span("graph_build", family=spec.family):
         with span("graph_build:generate"):
             graph = spec.build()
-        if build is not None:
-            build.attrs["direct"] = (
-                getattr(graph, "_compiled", None) is not None
-            )
         recorder = current_recorder()
         if recorder is not None and isinstance(graph, PortNumberedGraph):
             recorder.count("graph_build.graphs")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.lowerbounds.instance import LowerBoundInstance
@@ -157,9 +157,6 @@ class JobSpec:
                 f"{self.measure} units need a lower-bound graph family, "
                 f"got {self.graph.family!r}"
             )
-
-    def with_label(self, label: str) -> "JobSpec":
-        return replace(self, label=label)
 
     def display_label(self) -> str:
         return self.label or self.graph.label()

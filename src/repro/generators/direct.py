@@ -1,15 +1,16 @@
 """Direct-to-CSR lowering: an edge list straight into compiled arrays.
 
 The networkx route (``nx.Graph`` → numbering strategy → neighbour-order
-dicts → ``from_neighbour_orders`` → ``CompiledGraph.__init__`` walking
-the involution dict) costs several dict passes per port.  When a
-generator already holds its edges as two int64 arrays — the structured
-families (cycles, grids, tori, hypercubes, complete and
+dicts → ``PortNumberedGraph(degrees, involution)``, which validates the
+dicts and walks them into arrays) costs several dict passes per port.
+When a generator already holds its edges as two int64 arrays — the
+structured families (cycles, grids, tori, hypercubes, complete and
 complete-bipartite graphs, paths), whose edges are arithmetic, and the
 array replay of networkx's regular sampler in
 :mod:`repro.generators.regular` — :func:`from_edge_arrays` numbers the
-ports with numpy sorts and wraps the compiled CSR arrays in an
-:class:`~repro.portgraph.arrays.ArrayGraph`.
+ports with numpy sorts and hands the CSR arrays to
+:meth:`~repro.portgraph.graph.PortNumberedGraph.from_arrays`; no
+``(d, p)`` dict exists unless equality or hashing asks for one.
 
 Byte-identity contract (pinned by ``tests/test_direct_csr.py``): for
 every family and every seed the direct build equals the networkx build
@@ -38,7 +39,7 @@ from array import array
 import numpy as np
 
 from repro.generators.shuffle import shuffled_segments
-from repro.portgraph.arrays import ArrayGraph
+from repro.portgraph.graph import PortNumberedGraph
 
 __all__ = [
     "from_edge_arrays",
@@ -86,7 +87,7 @@ def from_edge_arrays(
     u: np.ndarray,
     v: np.ndarray,
     seed: int | None = None,
-) -> ArrayGraph:
+) -> PortNumberedGraph:
     """Build the port-numbered graph of a simple graph on ``0..n-1``.
 
     Edge ``e`` joins ``u[e]`` and ``v[e]``; edge order and orientation
@@ -120,7 +121,7 @@ def from_edge_arrays(
     position[perm] = np.arange(total, dtype=np.int64)
     mate = position[np.where(perm < m, perm + m, perm - m)]
     port_node = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    return ArrayGraph(
+    return PortNumberedGraph.from_arrays(
         tuple(order.tolist()),
         tuple(degrees.tolist()),
         _q(offsets),

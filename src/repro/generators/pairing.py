@@ -11,9 +11,9 @@ switches instead of resampling the whole pairing.
 
 The stub layout *is* the port numbering — stub ``i`` of node ``u`` is
 port ``i + 1`` attached at global index ``u·d + i`` — so the pairing is
-already the compiled ``mate`` array and the result wraps directly in an
-:class:`~repro.portgraph.arrays.ArrayGraph` (numeric node order; no
-repr re-sorting, no dicts).
+already the compiled ``mate`` array and goes straight to
+:meth:`~repro.portgraph.graph.PortNumberedGraph.from_arrays` (numeric
+node order; no repr re-sorting, no dicts).
 
 Determinism contract: the pairing is the order that one
 ``random.Random(seed).shuffle`` of the stub indices leaves, replayed in
@@ -41,7 +41,7 @@ import numpy as np
 from repro.exceptions import ConstructionError
 from repro.generators.direct import _q
 from repro.generators.shuffle import shuffled_range
-from repro.portgraph.arrays import ArrayGraph
+from repro.portgraph.graph import PortNumberedGraph
 
 __all__ = ["pairing_regular"]
 
@@ -144,7 +144,7 @@ def _repair(mate, n: int, d: int, rng: random.Random, bad: list[int]) -> None:
             raise _RepairExhausted
 
 
-def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
+def pairing_regular(d: int, n: int, *, seed: int = 0) -> PortNumberedGraph:
     """A random simple d-regular graph on nodes ``0..n-1`` in O(nd)."""
     if d < 1 or n <= d or (n * d) % 2:
         raise ConstructionError(
@@ -172,7 +172,7 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
 
     offsets = np.arange(total + d, step=d, dtype=np.int64)
     port_node = np.arange(total, dtype=np.int64) // d
-    return ArrayGraph(
+    return PortNumberedGraph.from_arrays(
         range(n), (d,) * n, _q(offsets), _q(mate), _q(port_node),
         validate=False,
     )

@@ -85,14 +85,6 @@ def is_edge_cover(
     return covered_nodes(edges) == frozenset(graph.nodes)
 
 
-def _adjacency(edges: Iterable[PortEdge]) -> dict[Node, list[Node]]:
-    adjacency: dict[Node, list[Node]] = {}
-    for e in edges:
-        adjacency.setdefault(e.u, []).append(e.v)
-        adjacency.setdefault(e.v, []).append(e.u)
-    return adjacency
-
-
 def is_forest(edges: Iterable[PortEdge]) -> bool:
     """True when the subgraph induced by *edges* is acyclic.
 

@@ -12,7 +12,6 @@ Public surface:
 * :mod:`~repro.portgraph.covering` — covering maps, quotients and lifts.
 """
 
-from repro.portgraph.arrays import ArrayGraph
 from repro.portgraph.builder import PortGraphBuilder
 from repro.portgraph.convert import (
     from_neighbour_orders,
@@ -58,7 +57,6 @@ from repro.portgraph.views import (
 
 __all__ = [
     "PortNumberedGraph",
-    "ArrayGraph",
     "PortGraphBuilder",
     "PortEdge",
     "Node",

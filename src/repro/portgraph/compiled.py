@@ -1,40 +1,34 @@
-"""The compiled flat-array form of a port-numbered graph.
+"""The flat-array form of a port-numbered graph: its only storage.
 
-:class:`PortNumberedGraph` stores the involution as a ``dict[Port, Port]``
-— ideal for validation and graph-theoretic queries, but every simulated
-message pays a tuple-hash dict lookup, and a round loop over it churns
-through per-node dictionaries.  :class:`CompiledGraph` lowers the same
-structure once into flat integer arrays indexed by *global port index*:
+Every :class:`~repro.portgraph.graph.PortNumberedGraph` holds one
+:class:`CompiledGraph`, built with the graph, indexed by *global port
+index*:
 
-* port ``(v, i)`` of the node with construction index ``k`` becomes the
-  integer ``g = offsets[k] + i - 1`` (a CSR-style layout: the ports of
-  node ``k`` occupy the half-open range ``offsets[k]..offsets[k + 1]``);
+* port ``(v, i)`` of the node with index ``k`` becomes the integer
+  ``g = offsets[k] + i - 1`` (a CSR-style layout: the ports of node
+  ``k`` occupy the half-open range ``offsets[k]..offsets[k + 1]``);
 * the involution ``p`` becomes one flat ``array('q')`` ``mate`` with
   ``mate[g]`` the global index of ``p``'s image — routing a message is a
   single array read;
 * ``port_node[g]`` recovers the owning node index, so local port numbers
   are ``g - offsets[port_node[g]] + 1`` with no dict in sight.
 
-The compiled form is cached on the graph
-(:meth:`PortNumberedGraph.compiled`), so the one-time ``O(|P|)``
-lowering is shared by every run, measure, and benchmark touching the
-same graph object.  Node order is the graph's own deterministic
-construction order (``graph.nodes``) — the scheduler takes its fixed
-delivery order from here instead of re-deriving it per run.
+Node order is the graph's own deterministic order (``graph.nodes``) —
+the scheduler takes its fixed delivery order from here instead of
+re-deriving it per run.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, Port
 
 __all__ = ["CompiledGraph"]
 
 
 class CompiledGraph:
-    """Flat-array lowering of one :class:`PortNumberedGraph`.
+    """The CSR arrays of one :class:`PortNumberedGraph`.
 
     Attributes
     ----------
@@ -66,70 +60,18 @@ class CompiledGraph:
         "_vector",
     )
 
-    def __init__(self, graph: PortNumberedGraph) -> None:
-        nodes = graph.nodes
-        self.nodes = nodes
-        n = len(nodes)
-        self.num_nodes = n
-        node_index: dict[Node, int] = {v: k for k, v in enumerate(nodes)}
-        self._node_index = None
-        degree_of = graph.degrees
-        degrees = tuple(degree_of[v] for v in nodes)
-        self.degrees = degrees
-
-        offset_list = [0] * (n + 1)
-        port_owner: list[int] = []
-        total = 0
-        for k, degree in enumerate(degrees):
-            offset_list[k] = total
-            port_owner.extend([k] * degree)
-            total += degree
-        offset_list[n] = total
-        self.offsets = array("q", offset_list)
-        self.num_ports = total
-        self.port_node = array("q", port_owner)
-
-        # One pass over the involution (the graph's internal dict — the
-        # public ``involution`` property would copy it).
-        mate_list = [0] * total
-        for (v, i), (u, j) in graph._p.items():
-            mate_list[offset_list[node_index[v]] + i - 1] = (
-                offset_list[node_index[u]] + j - 1
-            )
-        self.mate = array("q", mate_list)
-
-        #: Derived read-only tables keyed by their producer (vector
-        #: kernels stash per-algorithm schedules here so repeated runs
-        #: on one graph pay the derivation once, like the compiled form
-        #: itself).  Entries must be immutable or never mutated.  The
-        #: list forms of ``mate``/``port_node`` are seeded from the
-        #: construction intermediates.
-        self.memo: dict = {"flat_lists": (mate_list, port_owner)}
-        self._vector = None
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         nodes: tuple[Node, ...],
         degrees: tuple[int, ...],
         offsets: array,
         mate: array,
         port_node: array,
-    ) -> "CompiledGraph":
-        """Assemble a compiled graph directly from its CSR arrays.
-
-        The direct-to-CSR construction path: generators that already
-        know the flat layout (``repro.generators.direct``,
-        ``pairing_regular``) hand the arrays over without ever
-        materialising the ``dict[Port, Port]`` involution that
-        ``__init__`` would walk.
-
-        Arrays must be ``array('q')`` — the buffer-protocol contract the
-        vector engine's zero-copy views rely on.  Structural validity
-        (involution, ranges) is the caller's responsibility; the
-        :class:`ArrayGraph` constructor validates by default.
-        """
-        self = object.__new__(cls)
+    ) -> None:
+        # Arrays must be ``array('q')``: the buffer-protocol contract the
+        # vector engine's zero-copy views rely on.  Structural validity
+        # is the caller's responsibility (see
+        # ``PortNumberedGraph.from_arrays``).
         self.nodes = tuple(nodes)
         n = len(self.nodes)
         self.num_nodes = n
@@ -139,12 +81,12 @@ class CompiledGraph:
         self.num_ports = offsets[n] if len(offsets) > n else 0
         self.mate = mate
         self.port_node = port_node
-        # Unlike ``__init__`` there are no construction intermediates to
-        # seed ``flat_lists`` from; the list forms materialise lazily on
-        # first use by the compiled per-node loop.
-        self.memo = {}
+        #: Derived read-only tables keyed by their producer (vector
+        #: kernels stash per-algorithm schedules here so repeated runs
+        #: on one graph pay the derivation once).  Entries must be
+        #: immutable or never mutated.
+        self.memo: dict = {}
         self._vector = None
-        return self
 
     @property
     def node_index(self) -> dict[Node, int]:

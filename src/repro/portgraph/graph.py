@@ -9,14 +9,29 @@ A port-numbered graph ``G`` is a triple ``(V, d, p)``:
 
 Orbits of size two of ``p`` are undirected edges (possibly loops or parallel
 edges); fixed points are directed loops.  :class:`PortNumberedGraph` stores
-this structure immutably, validates it on construction, and exposes the
-graph-theoretic views (edges, adjacency, regularity, simplicity) used by
-the rest of the package.
+this structure immutably in one form, the CSR arrays of
+:class:`~repro.portgraph.compiled.CompiledGraph`, built when the graph is
+constructed, and answers every graph-theoretic query (edges, adjacency,
+regularity, simplicity) from them.  There are two constructors:
+
+* ``PortNumberedGraph(degrees, involution)`` validates the two mappings
+  and lowers them once to arrays, nodes in ``repr``-sorted order (the
+  ``graph_build:compile`` span);
+* :meth:`PortNumberedGraph.from_arrays` takes the arrays from a generator
+  that already knows the flat layout (:mod:`repro.generators.direct`,
+  :mod:`repro.generators.pairing`).
+
+Equality and hashing compare the ``(d, p)`` dicts: the ones a graph was
+built from, or, for a graph built from arrays, dicts materialised on
+first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from array import array
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import (
     InvolutionError,
@@ -24,6 +39,8 @@ from repro.exceptions import (
     NotSimpleGraphError,
     PortNumberingError,
 )
+from repro.obs.spans import span
+from repro.portgraph.compiled import CompiledGraph
 from repro.portgraph.ports import Node, Port, PortEdge, port_sort_key
 
 __all__ = ["PortNumberedGraph"]
@@ -49,18 +66,15 @@ class PortNumberedGraph:
         If ``p`` is not self-inverse.
     """
 
-    __slots__ = (
-        "_degrees", "_p", "_nodes", "_edges", "_edge_at", "_hash",
-        "_compiled",
-    )
+    __slots__ = ("_nodes", "_compiled", "_degrees", "_p", "_edges", "_hash")
 
     def __init__(
         self,
         degrees: Mapping[Node, int],
         involution: Mapping[Port, Port],
     ) -> None:
-        self._degrees: dict[Node, int] = dict(degrees)
-        for node, degree in self._degrees.items():
+        degrees = dict(degrees)
+        for node, degree in degrees.items():
             if degree < 0:
                 raise PortNumberingError(
                     f"node {node!r} has negative degree {degree}"
@@ -68,7 +82,7 @@ class PortNumberedGraph:
 
         expected_ports = {
             (node, i)
-            for node, degree in self._degrees.items()
+            for node, degree in degrees.items()
             for i in range(1, degree + 1)
         }
         given_ports = set(involution)
@@ -83,39 +97,82 @@ class PortNumberedGraph:
                 f"missing={missing!r} extra={extra!r}"
             )
 
-        self._p: dict[Port, Port] = dict(involution)
-        for port, image in self._p.items():
-            if image not in self._p:
+        p = dict(involution)
+        for port, image in p.items():
+            if image not in p:
                 raise InvolutionError(
                     f"p{port!r} = {image!r} is not a port of the graph"
                 )
-            if self._p[image] != port:
+            if p[image] != port:
                 raise InvolutionError(
                     f"p is not an involution: p{port!r} = {image!r} "
-                    f"but p{image!r} = {self._p[image]!r}"
+                    f"but p{image!r} = {p[image]!r}"
                 )
 
-        self._nodes: tuple[Node, ...] = tuple(
-            sorted(self._degrees, key=repr)
-        )
-        self._edges: tuple[PortEdge, ...] = tuple(self._build_edges())
-        self._edge_at: dict[Port, PortEdge] = {}
-        for edge in self._edges:
-            for port in edge.ports:
-                self._edge_at[port] = edge
-        self._hash: int | None = None
-        self._compiled = None
+        nodes = tuple(sorted(degrees, key=repr))
+        with span("graph_build:compile", n=len(nodes)):
+            self._adopt(_lower(nodes, degrees, p))
+        self._degrees = degrees
+        self._p = p
 
-    def _build_edges(self) -> Iterator[PortEdge]:
-        seen: set[Port] = set()
-        for port in sorted(self._p, key=port_sort_key):
-            if port in seen:
-                continue
-            image = self._p[port]
-            seen.add(port)
-            seen.add(image)
-            (u, i), (v, j) = port, image
-            yield PortEdge.make(u, i, v, j)
+    @classmethod
+    def from_arrays(
+        cls,
+        nodes: Sequence[Node],
+        degrees: Sequence[int],
+        offsets,
+        mate,
+        port_node,
+        *,
+        validate: bool = True,
+    ) -> "PortNumberedGraph":
+        """A graph given by its CSR arrays (see :class:`CompiledGraph`).
+
+        *nodes* fixes the node order: node *index* means position in
+        this sequence, and ``degrees[k]`` is the degree of node ``k``.
+        The arrays may be anything convertible to ``array('q')``.
+        *validate* checks CSR consistency and the involution; builders
+        that construct provably valid arrays pass ``False``.
+        """
+        nodes = tuple(nodes)
+        degrees = tuple(degrees)
+        offsets, mate, port_node = _as_q(offsets), _as_q(mate), _as_q(port_node)
+        if validate:
+            _validate_arrays(nodes, degrees, offsets, mate, port_node)
+        self = object.__new__(cls)
+        self._adopt(CompiledGraph(nodes, degrees, offsets, mate, port_node))
+        return self
+
+    def _adopt(self, compiled: CompiledGraph) -> None:
+        self._nodes = compiled.nodes
+        self._compiled = compiled
+        self._edges = None
+        self._hash = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a graph built from arrays
+        # materialises its dict views on first use.
+        if name == "_degrees":
+            value = self.degrees
+        elif name == "_p":
+            value = self.involution
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        setattr(self, name, value)
+        return value
+
+    def _iter_array_edges(self) -> Iterator[PortEdge]:
+        """Edges in global-port order: the canonical ``port_sort_key``
+        order when the nodes are ``repr``-sorted."""
+        cg = self._compiled
+        mate, port = cg.mate, cg.port
+        for g in range(cg.num_ports):
+            m = mate[g]
+            if m >= g:
+                (u, i), (v, j) = port(g), port(m)
+                yield PortEdge.make(u, i, v, j)
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -132,25 +189,40 @@ class PortNumberedGraph:
 
     @property
     def edges(self) -> tuple[PortEdge, ...]:
-        """All edges (an edge multiset; loops included) in canonical order."""
+        """All edges (an edge multiset; loops included), built on first use."""
+        if self._edges is None:
+            self._edges = tuple(self._iter_array_edges())
         return self._edges
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        cg = self._compiled
+        try:
+            return cg.memo["num_edges"]
+        except KeyError:
+            pass
+        # Each involution orbit of size two is one edge on two ports; a
+        # fixed point (directed loop) is one edge on one port.
+        arange = np.arange(cg.num_ports, dtype=np.int64)
+        fixed = int((np.frombuffer(cg.mate, dtype=np.int64) == arange)
+                    .sum()) if cg.num_ports else 0
+        value = (cg.num_ports + fixed) // 2
+        cg.memo["num_edges"] = value
+        return value
 
     def degree(self, node: Node) -> int:
         """The degree ``d(v)`` of *node*."""
-        return self._degrees[node]
+        cg = self._compiled
+        return cg.degrees[cg.node_index[node]]
 
     @property
     def degrees(self) -> Mapping[Node, int]:
-        """Read-only view of the degree function."""
-        return dict(self._degrees)
+        """The degree function as a fresh dict, in node order."""
+        return dict(zip(self._nodes, self._compiled.degrees))
 
     def ports(self, node: Node) -> range:
         """The port numbers ``1..d(v)`` of *node*."""
-        return range(1, self._degrees[node] + 1)
+        return range(1, self.degree(node) + 1)
 
     @property
     def all_ports(self) -> Iterator[Port]:
@@ -161,17 +233,20 @@ class PortNumberedGraph:
 
     def connection(self, node: Node, port: int) -> Port:
         """Return ``p(node, port)`` — the port this port is connected to."""
-        try:
-            return self._p[(node, port)]
-        except KeyError:
+        cg = self._compiled
+        k = cg.node_index.get(node)
+        if k is None or not 1 <= port <= cg.degrees[k]:
             raise KeyError(
                 f"({node!r}, {port}) is not a port of the graph"
-            ) from None
+            )
+        return cg.port(cg.mate[cg.offsets[k] + port - 1])
 
     @property
     def involution(self) -> Mapping[Port, Port]:
-        """A copy of the involution ``p``."""
-        return dict(self._p)
+        """The involution ``p`` as a fresh dict, in global-port order."""
+        cg = self._compiled
+        port = cg.port
+        return {port(g): port(cg.mate[g]) for g in range(cg.num_ports)}
 
     def neighbour(self, node: Node, port: int) -> Node:
         """The node at the other end of the edge attached to this port."""
@@ -179,12 +254,8 @@ class PortNumberedGraph:
 
     def edge_at(self, node: Node, port: int) -> PortEdge:
         """The edge attached to port ``(node, port)``."""
-        try:
-            return self._edge_at[(node, port)]
-        except KeyError:
-            raise KeyError(
-                f"({node!r}, {port}) is not a port of the graph"
-            ) from None
+        (u, j) = self.connection(node, port)
+        return PortEdge.make(node, port, u, j)
 
     def edges_at(self, node: Node) -> tuple[PortEdge, ...]:
         """All edges incident to *node*, ordered by port number.
@@ -193,10 +264,6 @@ class PortNumberedGraph:
         convention that it occupies two ports.
         """
         return tuple(self.edge_at(node, i) for i in self.ports(node))
-
-    def incident_edge_set(self, node: Node) -> frozenset[PortEdge]:
-        """The set of distinct edges incident to *node*."""
-        return frozenset(self.edges_at(node))
 
     def neighbours(self, node: Node) -> tuple[Node, ...]:
         """Neighbours of *node* listed by increasing port number."""
@@ -208,15 +275,27 @@ class PortNumberedGraph:
 
     def is_simple(self) -> bool:
         """True when there are no loops and no parallel edges."""
-        seen_pairs: set[frozenset[Node]] = set()
-        for edge in self._edges:
-            if edge.is_loop:
-                return False
-            pair = edge.endpoints
-            if pair in seen_pairs:
-                return False
-            seen_pairs.add(pair)
-        return True
+        cg = self._compiled
+        try:
+            return cg.memo["is_simple"]
+        except KeyError:
+            pass
+        value = True
+        if cg.num_ports:
+            mate = np.frombuffer(cg.mate, dtype=np.int64)
+            owner = np.frombuffer(cg.port_node, dtype=np.int64)
+            peer = owner[mate]
+            if bool((peer == owner).any()):
+                value = False  # loop (directed or undirected)
+            else:
+                # Parallel edges: some node lists the same neighbour
+                # twice.  A sort and an adjacent compare, not
+                # ``np.unique``: numpy 2.x's hash-based unique is ~70x
+                # slower on millions of int64 keys.
+                key = np.sort(owner * cg.num_nodes + peer)
+                value = not bool((key[1:] == key[:-1]).any())
+        cg.memo["is_simple"] = value
+        return value
 
     def require_simple(self) -> None:
         """Raise :class:`NotSimpleGraphError` unless the graph is simple."""
@@ -227,9 +306,9 @@ class PortNumberedGraph:
 
     def regularity(self) -> int | None:
         """Return ``d`` if the graph is d-regular, otherwise ``None``."""
-        degrees = set(self._degrees.values())
-        if len(degrees) == 1:
-            return next(iter(degrees))
+        distinct = set(self._compiled.degrees)
+        if len(distinct) == 1:
+            return next(iter(distinct))
         return None
 
     def require_regular(self) -> int:
@@ -237,14 +316,21 @@ class PortNumberedGraph:
         d = self.regularity()
         if d is None:
             raise NotRegularGraphError(
-                f"graph is not regular; degrees span {sorted(set(self._degrees.values()))}"
+                f"graph is not regular; degrees span {sorted(set(self._compiled.degrees))}"
             )
         return d
 
     @property
     def max_degree(self) -> int:
         """The maximum degree (0 for the empty graph)."""
-        return max(self._degrees.values(), default=0)
+        cg = self._compiled
+        try:
+            return cg.memo["max_degree"]
+        except KeyError:
+            degrees = np.diff(np.frombuffer(cg.offsets, dtype=np.int64))
+            value = int(degrees.max()) if len(degrees) else 0
+            cg.memo["max_degree"] = value
+            return value
 
     # ------------------------------------------------------------------
     # Simple-graph conveniences
@@ -266,10 +352,6 @@ class PortNumberedGraph:
     def has_edge(self, u: Node, v: Node) -> bool:
         """True when some edge joins *u* and *v*."""
         return any(self.neighbour(u, i) == v for i in self.ports(u))
-
-    def node_pair_edges(self) -> frozenset[frozenset[Node]]:
-        """The edge set as node pairs (meaningful for simple graphs)."""
-        return frozenset(edge.endpoints for edge in self._edges)
 
     # ------------------------------------------------------------------
     # Equality / hashing / repr
@@ -297,30 +379,19 @@ class PortNumberedGraph:
         )
 
     def __getstate__(self):
-        # The compiled form and derived caches are rebuilt on demand;
-        # pickling ships only the defining (V, d, p) triple.
-        return (self._degrees, self._p)
+        cg = self._compiled
+        return (cg.nodes, cg.degrees, cg.offsets, cg.mate, cg.port_node)
 
     def __setstate__(self, state) -> None:
-        degrees, involution = state
-        self.__init__(degrees, involution)
+        self._adopt(CompiledGraph(*state))
 
     # ------------------------------------------------------------------
     # Compiled form
     # ------------------------------------------------------------------
 
-    def compiled(self):
-        """The cached :class:`~repro.portgraph.compiled.CompiledGraph`.
-
-        Lowered once per graph object and shared by every simulation
-        run; see :mod:`repro.portgraph.compiled`.
-        """
-        if self._compiled is None:
-            from repro.obs.spans import span
-            from repro.portgraph.compiled import CompiledGraph
-
-            with span("graph_build:compile", n=self.num_nodes):
-                self._compiled = CompiledGraph(self)
+    def compiled(self) -> CompiledGraph:
+        """The graph's :class:`~repro.portgraph.compiled.CompiledGraph`,
+        built with the graph and shared by every simulation run."""
         return self._compiled
 
     # ------------------------------------------------------------------
@@ -339,3 +410,82 @@ class PortNumberedGraph:
             for (node, port) in edge.ports:
                 result[node].add(port)
         return result
+
+
+def _lower(
+    nodes: tuple[Node, ...],
+    degree_of: Mapping[Node, int],
+    p: Mapping[Port, Port],
+) -> CompiledGraph:
+    """One walk over the ``(d, p)`` dicts into CSR arrays: the ports of
+    ``nodes[k]`` take global indices ``offsets[k]..offsets[k + 1] - 1``."""
+    n = len(nodes)
+    node_index = {v: k for k, v in enumerate(nodes)}
+    degrees = tuple(degree_of[v] for v in nodes)
+    offsets = [0] * (n + 1)
+    port_owner: list[int] = []
+    total = 0
+    for k, degree in enumerate(degrees):
+        offsets[k] = total
+        port_owner.extend([k] * degree)
+        total += degree
+    offsets[n] = total
+    mate = [0] * total
+    for (v, i), (u, j) in p.items():
+        mate[offsets[node_index[v]] + i - 1] = offsets[node_index[u]] + j - 1
+    return CompiledGraph(
+        nodes, degrees, array("q", offsets), array("q", mate),
+        array("q", port_owner),
+    )
+
+
+def _as_q(values) -> array:
+    """Coerce to the ``array('q')`` form the compiled contract requires."""
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    return array("q", values)
+
+
+def _validate_arrays(
+    nodes: tuple,
+    degrees: tuple,
+    offsets: array,
+    mate: array,
+    port_node: array,
+) -> None:
+    n = len(nodes)
+    if len(set(nodes)) != n:
+        raise PortNumberingError("duplicate node labels")
+    if len(degrees) != n or len(offsets) != n + 1 or offsets[0] != 0:
+        raise PortNumberingError(
+            f"CSR shape mismatch: {n} nodes, {len(degrees)} degrees, "
+            f"{len(offsets)} offsets"
+        )
+    for k in range(n):
+        if degrees[k] < 0:
+            raise PortNumberingError(
+                f"node {nodes[k]!r} has negative degree {degrees[k]}"
+            )
+        if offsets[k + 1] - offsets[k] != degrees[k]:
+            raise PortNumberingError(
+                f"offsets do not match degrees at node index {k}"
+            )
+    total = offsets[n]
+    if len(mate) != total or len(port_node) != total:
+        raise PortNumberingError(
+            f"expected {total} ports, got len(mate)={len(mate)} "
+            f"len(port_node)={len(port_node)}"
+        )
+    if not total:
+        return
+    mate_np = np.frombuffer(mate, dtype=np.int64)
+    owner_np = np.frombuffer(port_node, dtype=np.int64)
+    offs = np.frombuffer(offsets, dtype=np.int64)
+    expected_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
+    if not np.array_equal(owner_np, expected_owner):
+        raise PortNumberingError("port_node does not match offsets")
+    if mate_np.min() < 0 or mate_np.max() >= total:
+        raise InvolutionError("mate index out of range")
+    arange = np.arange(total, dtype=np.int64)
+    if not np.array_equal(mate_np[mate_np], arange):
+        raise InvolutionError("mate is not an involution")

@@ -109,9 +109,5 @@ class PortEdge:
             return self.j
         raise KeyError(f"{node!r} is not an endpoint of {self!r}")
 
-    def node_pair(self) -> frozenset[Node]:
-        """Alias of :attr:`endpoints`, matching the paper's ``{u, v}``."""
-        return self.endpoints
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PortEdge({self.u!r}:{self.i} -- {self.v!r}:{self.j})"

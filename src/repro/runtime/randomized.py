@@ -38,7 +38,6 @@ def run_randomized(
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
     """Run a randomised anonymous algorithm with reproducible coins.
 
@@ -51,5 +50,5 @@ def run_randomized(
         lambda v: algorithm(
             graph.degree(v), random.Random(master.getrandbits(64))
         ),
-        engine, max_rounds, record_trace, False,
+        max_rounds, record_trace, False,
     )

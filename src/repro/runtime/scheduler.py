@@ -40,8 +40,8 @@ Three engines share the public entry points:
 All engines are observationally identical — same outputs, rounds, and
 traces; ``tests/test_runtime_compiled.py`` enforces this across the full
 algorithm × graph-family matrix.  The ``simulate`` span's ``engine``
-annotation names the engine that ran.  Pick one per call (``engine=``)
-or for a whole region with :func:`use_engine`.
+annotation names the engine that ran.  Pick one for a region with
+:func:`use_engine`.
 """
 
 from __future__ import annotations
@@ -94,11 +94,12 @@ _engine_override: ContextVar[str | None] = ContextVar(
 def use_engine(name: str) -> Iterator[None]:
     """Run a region under a different scheduler engine.
 
-    The differential tests and the runtime benchmark wrap calls in
-    ``use_engine("legacy")`` to compare against the reference loop
-    without threading a parameter through every caller.  The override is
-    a :class:`~contextvars.ContextVar` of this process, so it does not
-    reach pool workers: run under the inline backend to use it.
+    The one way to pick an engine: the CLI's ``--engine`` flag, the
+    differential tests and the runtime benchmark wrap their calls in it
+    (``use_engine("legacy")`` compares against the reference loop).  The
+    override is a :class:`~contextvars.ContextVar` of this process, so
+    it does not reach pool workers: run under the inline backend to use
+    it.
     """
     _resolve_engine(name)  # validate eagerly
     token = _engine_override.set(name)
@@ -153,9 +154,6 @@ class RunResult:
         for what is computed on the mask and what decodes edges.
         """
         return self._selection
-
-    def output_of(self, node: Node) -> frozenset[int]:
-        return self.outputs[node]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunResult):
@@ -370,7 +368,6 @@ def _dispatch(
     algorithm,
     hook_args: tuple,
     make_program: Callable[[Node], NodeProgram],
-    engine: str | None,
     max_rounds: int,
     record_trace: bool,
     strict_delivery: bool,
@@ -381,7 +378,7 @@ def _dispatch(
     (``()`` anonymous, ``(ids,)`` identified); a missing hook or one
     that returns ``None`` sends ``vector`` to the compiled loop.
     """
-    resolved = _resolve_engine(engine)
+    resolved = _resolve_engine(None)
     if resolved == "vector":
         hook = getattr(algorithm, "vector_program", None)
         if hook is not None:
@@ -411,7 +408,6 @@ def run_anonymous(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
     strict_delivery: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
     """Run a deterministic anonymous algorithm on *graph*.
 
@@ -428,14 +424,14 @@ def run_anonymous(
     so they are unaffected, but the option surfaces lifecycle bugs in
     user-supplied algorithms.
 
-    *engine* selects the scheduler implementation (default
-    ``"vector"``; see :data:`ENGINES` and :func:`use_engine`).  Under
-    the vector engine a factory exposing ``vector_program(graph)`` is
-    stepped as whole-graph array operations.
+    The scheduler implementation is the one :func:`use_engine` selects
+    (default ``"vector"``; see :data:`ENGINES`).  Under the vector
+    engine a factory exposing ``vector_program(graph)`` is stepped as
+    whole-graph array operations.
     """
     return _dispatch(
         graph, algorithm, (), lambda v: algorithm(graph.degree(v)),
-        engine, max_rounds, record_trace, strict_delivery,
+        max_rounds, record_trace, strict_delivery,
     )
 
 
@@ -447,7 +443,6 @@ def run_identified(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
     strict_delivery: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
     """Run an algorithm in the stronger unique-identifier model.
 
@@ -464,5 +459,5 @@ def run_identified(
     return _dispatch(
         graph, algorithm, (ids,),
         lambda v: algorithm(graph.degree(v), ids[v]),
-        engine, max_rounds, record_trace, strict_delivery,
+        max_rounds, record_trace, strict_delivery,
     )

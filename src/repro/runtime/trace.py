@@ -93,9 +93,6 @@ class ExecutionTrace:
     def total_delivered(self) -> int:
         return self.total_messages - self.total_dropped
 
-    def messages_in_round(self, rnd: int) -> list[SentMessage]:
-        return self.rounds[rnd].messages
-
     def summary(self) -> str:
         """A compact human-readable digest of the run."""
         lines = [f"rounds: {len(self.rounds)}"]

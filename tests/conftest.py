@@ -6,10 +6,13 @@ are re-exported here for the test files' convenience.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 
 from repro.portgraph import PortGraphBuilder, PortNumberedGraph, from_networkx
+from repro.portgraph import convert
 from repro.testing import (  # noqa: F401  (re-exported for test modules)
     bounded_degree_port_graphs,
     nx_graphs,
@@ -80,3 +83,22 @@ def multigraph_m() -> PortNumberedGraph:
     b.connect_fixed_point("s", 3)
     b.connect("t", 3, "t", 4)
     return b.build()
+
+
+@pytest.fixture
+def array_route():
+    """Call a generator with the networkx route refused.
+
+    Every networkx conversion ends in ``convert.from_neighbour_orders``;
+    patched to raise, it fails any build that falls back to that route,
+    so a graph returned here was lowered from arrays.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the networkx route ran")
+
+    def build(generator, *args, **kwargs):
+        with mock.patch.object(convert, "from_neighbour_orders", refuse):
+            return generator(*args, **kwargs)
+
+    return build

@@ -62,8 +62,7 @@ from repro.exceptions import CertificateError
 from repro.lowerbounds.even import build_even_lower_bound
 from repro.lowerbounds.odd import build_odd_lower_bound
 from repro.obs.spans import recording
-from repro.portgraph import PortGraphBuilder
-from repro.portgraph.arrays import ArrayGraph
+from repro.portgraph import PortGraphBuilder, PortNumberedGraph
 from repro.runtime.outputs import EdgeSelection
 from repro.testing import port_graphs
 
@@ -594,7 +593,9 @@ class TestEngineThreading:
         def refuse(self):
             raise AssertionError("PortEdge tuple materialised")
 
-        monkeypatch.setattr(ArrayGraph, "_iter_array_edges", refuse)
+        monkeypatch.setattr(
+            PortNumberedGraph, "_iter_array_edges", refuse
+        )
         spec = JobSpec(
             algorithm="bounded_degree",
             graph=GraphSpec.make("pairing_regular", seed=1, d=4, n=512),

@@ -182,7 +182,7 @@ class TestRecordsUnchanged:
 
 def tracked_graphs(ids: set[int]) -> list[PortNumberedGraph]:
     """The graphs among *ids* still on the collector's list
-    (``ArrayGraph`` has no weakref slot, so look for them there)."""
+    (``PortNumberedGraph`` has no weakref slot, so look for them there)."""
     return [
         obj for obj in gc.get_objects()
         if isinstance(obj, PortNumberedGraph) and id(obj) in ids

@@ -76,21 +76,18 @@ class TestProperties:
 
 class TestArrayFastPath:
     """The compiled-array feasibility check must agree with the
-    set-based definition on every subset, including loops and graphs
-    whose arrays exist up front (the direct-to-CSR families)."""
+    set-based definition on every subset, on graphs built from arrays
+    (the direct-to-CSR families) and from ``(d, p)`` dicts."""
 
     def graphs(self):
         from repro.generators.pairing import pairing_regular
         from repro.generators.regular import cycle, torus
 
         star = from_networkx(nx.star_graph(4))
-        star.compiled()  # attach arrays so the fast path engages
         return [cycle(7), torus(3, 3), pairing_regular(3, 8, seed=1), star]
 
     def test_matches_set_semantics_on_all_small_subsets(self):
         from itertools import combinations
-
-        from repro.eds.properties import _is_eds_arrays
 
         for graph in self.graphs():
             edges = list(graph.edges)
@@ -98,16 +95,21 @@ class TestArrayFastPath:
                 for subset in combinations(edges, k):
                     expected = not undominated_edges(graph, subset)
                     assert is_edge_dominating_set(graph, subset) == expected
-                    fast = _is_eds_arrays(graph, subset)
-                    assert fast is None or fast == expected
 
-    def test_declines_without_compiled_arrays(self):
-        from repro.eds.properties import _is_eds_arrays
+    def test_dict_built_graph_checked_on_its_arrays(self, monkeypatch):
+        import repro.eds.properties as properties
+        from repro.portgraph import PortNumberedGraph
+
+        def refuse(*args):
+            raise AssertionError("checked on PortEdge sets")
 
         g = from_networkx(nx.path_graph(4))
-        assert getattr(g, "_compiled", None) is None
-        assert _is_eds_arrays(g, []) is None
+        monkeypatch.setattr(PortNumberedGraph, "_iter_array_edges", refuse)
+        monkeypatch.setattr(properties, "undominated_edges", refuse)
         assert not is_edge_dominating_set(g, [])
+        assert not is_edge_dominating_set(g, [g.edge_at(0, 1)])
+        middle, _ = g.port_between(1, 2)
+        assert is_edge_dominating_set(g, [g.edge_at(1, middle)])
 
     def test_foreign_endpoints_cover_nothing(self):
         from repro.portgraph.ports import PortEdge

@@ -17,7 +17,6 @@ from repro.engine.executor import execute_unit
 from repro.engine.spec import GraphSpec, JobSpec
 from repro.exceptions import ConstructionError
 from repro.generators.pairing import pairing_regular
-from repro.portgraph.arrays import ArrayGraph
 from repro.registry.families import get_family
 
 
@@ -83,9 +82,8 @@ class TestStructure:
         (1, 2), (1, 8), (2, 3), (2, 16), (3, 4), (3, 20),
         (4, 9), (4, 50), (8, 30), (7, 8),
     ])
-    def test_simple_d_regular(self, d, n):
-        graph = pairing_regular(d, n, seed=5)
-        assert isinstance(graph, ArrayGraph)
+    def test_simple_d_regular(self, d, n, array_route):
+        graph = array_route(pairing_regular, d, n, seed=5)
         assert graph.nodes == tuple(range(n))
         assert graph.regularity() == d
         assert graph.is_simple()

@@ -28,7 +28,6 @@ from repro.exceptions import ConstructionError
 from repro.generators.direct import _repr_order
 from repro.generators.regular import _regular_edges, random_regular
 from repro.generators.shuffle import ShuffleStream
-from repro.portgraph.arrays import ArrayGraph
 from repro.portgraph.numbering import sequential_numbering
 
 #: d ∈ 1..8, n ∈ {d+1..d+4, 16, 33, 100}, seeds 0–5.  The grid holds
@@ -69,9 +68,8 @@ class TestReplayMatchesNetworkx:
             assert len(u) == n * d // 2, (d, n, seed)
 
     @pytest.mark.parametrize("d,n,seed", [(3, 10, 5), (8, 11, 3)])
-    def test_public_route(self, d, n, seed):
-        graph = random_regular(d, n, seed=seed)
-        assert isinstance(graph, ArrayGraph)
+    def test_public_route(self, d, n, seed, array_route):
+        graph = array_route(random_regular, d, n, seed=seed)
         assert graph_edge_set(graph) == {
             tuple(sorted(e))
             for e in nx.random_regular_graph(d, n, seed=seed).edges

@@ -90,7 +90,8 @@ def test_mask_path_matches_frozenset_reference(family, params, name):
 
     for engine in ENGINES:
         context = f"{name} on {family} ({engine})"
-        result = run_anonymous(graph, factory, engine=engine)
+        with use_engine(engine):
+            result = run_anonymous(graph, factory)
         assert result.selected.dtype == np.bool_, context
         assert np.array_equal(result.selected, expected), context
         assert result.outputs == outputs, context
@@ -106,9 +107,9 @@ def test_mask_path_matches_frozenset_reference(family, params, name):
 class TestEdgeSelectionContract:
     def graph_and_selection(self):
         graph = from_networkx(nx.petersen_graph())
-        return graph, run_anonymous(
-            graph, resolve("port_one").factory(graph), engine="vector"
-        ).edge_set()
+        with use_engine("vector"):
+            result = run_anonymous(graph, resolve("port_one").factory(graph))
+        return graph, result.edge_set()
 
     def test_set_operators_run_on_decoded_edges(self):
         graph, selection = self.graph_and_selection()
@@ -123,9 +124,10 @@ class TestEdgeSelectionContract:
 
     def test_selections_compare_by_edges(self):
         graph, selection = self.graph_and_selection()
-        again = run_anonymous(
-            graph, resolve("port_one").factory(graph), engine="compiled"
-        ).edge_set()
+        with use_engine("compiled"):
+            again = run_anonymous(
+                graph, resolve("port_one").factory(graph)
+            ).edge_set()
         assert again == selection and selection == again
         assert again != frozenset()
 
@@ -224,7 +226,8 @@ class TestChecksRunOnEveryUnit:
 
         graph = from_networkx(nx.path_graph(2))
         with pytest.raises(InconsistentOutputError, match=message):
-            run_anonymous(graph, HaltsWithOutput, engine=engine)
+            with use_engine(engine):
+                run_anonymous(graph, HaltsWithOutput)
 
     def test_missing_output_fails_the_reference_decoder(self):
         graph = from_networkx(nx.path_graph(2))

@@ -231,13 +231,6 @@ class TestEngineSelection:
             assert _resolve_engine(None) == "legacy"
         assert _resolve_engine(None) == "vector"
 
-    def test_explicit_engine_beats_override(self, triangle):
-        with use_engine("legacy"):
-            result = run_anonymous(
-                triangle, _NeverSends, engine="compiled", record_trace=True
-            )
-        assert result.rounds == 1
-
 
 class TestDroppedSends:
     """Satellite: sends to halted nodes are recorded *and* flagged."""
@@ -251,10 +244,10 @@ class TestDroppedSends:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_dropped_flagged_consistently(self, engine: str):
-        result = run_anonymous(
-            self._star(), _ChattyLeafHalter,
-            record_trace=True, engine=engine,
-        )
+        with use_engine(engine):
+            result = run_anonymous(
+                self._star(), _ChattyLeafHalter, record_trace=True
+            )
         trace = result.trace
         # round 0: all 6 sends delivered; rounds 1-2: the hub's 3 sends
         # are dropped (leaves halted in round 0)
@@ -279,10 +272,10 @@ class TestDroppedSends:
         from repro.exceptions import SimulationError
 
         with pytest.raises(SimulationError, match="sent to halted node"):
-            run_anonymous(
-                self._star(), _ChattyLeafHalter,
-                strict_delivery=True, engine=engine,
-            )
+            with use_engine(engine):
+                run_anonymous(
+                    self._star(), _ChattyLeafHalter, strict_delivery=True
+                )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_strict_delivery_batch_path(self, engine: str):
@@ -297,10 +290,10 @@ class TestDroppedSends:
 
         graph = build("regular", {"d": 3, "n": 8})
         with pytest.raises(SimulationError, match="sent to halted node"):
-            run_identified(
-                graph, GreedyMaximalMatchingIds,
-                strict_delivery=True, engine=engine,
-            )
+            with use_engine(engine):
+                run_identified(
+                    graph, GreedyMaximalMatchingIds, strict_delivery=True
+                )
 
 
 class TestCacheStability:

@@ -12,6 +12,7 @@ trace slabs, telemetry annotations).
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 
 import pytest
 
@@ -59,8 +60,8 @@ def _engine_that_ran(algorithm, **kwargs):
 
 class TestSelectionContract:
     def test_explicit_vector_runs_vector(self):
-        with recording() as rec:
-            run_anonymous(small_regular(), PortOneEDS, engine="vector")
+        with recording() as rec, use_engine("vector"):
+            run_anonymous(small_regular(), PortOneEDS)
         assert rec.counters.get("runtime.vector.runs") == 1
 
     def test_default_runs_vector(self):
@@ -72,10 +73,9 @@ class TestSelectionContract:
     def test_without_kernel_runs_compiled_silently(self, caplog, engine):
         """No vector kernel: the compiled loop runs, the span says so,
         and nothing is logged."""
-        with caplog.at_level(logging.DEBUG, logger="repro"):
-            result, ran, counters = _engine_that_ran(
-                _NoVectorKernel, engine=engine
-            )
+        region = nullcontext() if engine is None else use_engine(engine)
+        with caplog.at_level(logging.DEBUG, logger="repro"), region:
+            result, ran, counters = _engine_that_ran(_NoVectorKernel)
         assert result.rounds == 1
         assert ran == "compiled"
         assert "runtime.vector.runs" not in counters
@@ -84,8 +84,6 @@ class TestSelectionContract:
     @pytest.mark.parametrize("name", ["auto", "pernode"])
     def test_removed_engine_names_rejected(self, name):
         assert name not in ENGINES
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_anonymous(small_regular(), PortOneEDS, engine=name)
         with pytest.raises(ValueError, match="unknown engine"):
             with use_engine(name):
                 pass
@@ -180,7 +178,8 @@ class TestContractErrorsMatchCompiled:
         messages = []
         for engine in ("compiled", "vector"):
             with pytest.raises(AlgorithmContractError) as caught:
-                run_anonymous(_two_hubs(), factory(), engine=engine)
+                with use_engine(engine):
+                    run_anonymous(_two_hubs(), factory())
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("node degree 3 exceeds")
@@ -223,12 +222,10 @@ class TestLazyTraces:
         from repro.algorithms.regular_odd import RegularOddEDS
 
         graph = small_regular()
-        compiled = run_anonymous(
-            graph, RegularOddEDS, engine="compiled", record_trace=True
-        )
-        vector = run_anonymous(
-            graph, RegularOddEDS, engine="vector", record_trace=True
-        )
+        with use_engine("compiled"):
+            compiled = run_anonymous(graph, RegularOddEDS, record_trace=True)
+        with use_engine("vector"):
+            vector = run_anonymous(graph, RegularOddEDS, record_trace=True)
         assert vector.trace == compiled.trace
 
 
@@ -240,8 +237,9 @@ class TestIdOverflow:
         huge = {v: 2 ** 70 + i for i, v in enumerate(graph.nodes)}
         assert GreedyMaximalMatchingIds.vector_program(graph, huge) is None
         with_ids = run_identified(graph, GreedyMaximalMatchingIds, ids=huge)
-        reference = run_identified(
-            graph, GreedyMaximalMatchingIds, ids=huge, engine="compiled"
-        )
+        with use_engine("compiled"):
+            reference = run_identified(
+                graph, GreedyMaximalMatchingIds, ids=huge
+            )
         assert with_ids.outputs == reference.outputs
         assert with_ids.rounds == reference.rounds
