@@ -72,11 +72,11 @@ class CompiledGraph:
         # vector engine's zero-copy views rely on.  Structural validity
         # is the caller's responsibility (see
         # ``PortNumberedGraph.from_arrays``).
-        self.nodes = tuple(nodes)
-        n = len(self.nodes)
+        self.nodes = nodes
+        n = len(nodes)
         self.num_nodes = n
         self._node_index = None
-        self.degrees = tuple(degrees)
+        self.degrees = degrees
         self.offsets = offsets
         self.num_ports = offsets[n] if len(offsets) > n else 0
         self.mate = mate

@@ -100,16 +100,6 @@ def dict_route(build, args, seed):
     return graph, degrees, involution
 
 
-def _loops_and_parallels():
-    return (
-        {"s": 3, "t": 4},
-        {("s", 1): ("t", 2), ("t", 2): ("s", 1),
-         ("s", 2): ("t", 1), ("t", 1): ("s", 2),
-         ("s", 3): ("s", 3),
-         ("t", 3): ("t", 4), ("t", 4): ("t", 3)},
-    )
-
-
 #: ``(degrees, involution)`` inputs of the dict constructor: a directed
 #: loop, an undirected loop, parallel edges, isolated nodes, mixed int
 #: and tuple labels (whose ``repr`` order is neither numeric nor
@@ -125,7 +115,11 @@ DICT_GRAPHS = [
      {(10, 1): ((0, 1), 2), ((0, 1), 2): (10, 1),
       (10, 2): (2, 1), (2, 1): (10, 2),
       ((0, 1), 1): ((1,), 1), ((1,), 1): ((0, 1), 1)}),
-    _loops_and_parallels(),
+    ({"s": 3, "t": 4},
+     {("s", 1): ("t", 2), ("t", 2): ("s", 1),
+      ("s", 2): ("t", 1), ("t", 1): ("s", 2),
+      ("s", 3): ("s", 3),
+      ("t", 3): ("t", 4), ("t", 4): ("t", 3)}),
     ({}, {}),
 ]
 
@@ -160,6 +154,13 @@ def assert_accessors_match_dicts(graph, degrees, involution):
     for v in nodes:
         assert graph.degree(v) == degrees[v]
         assert graph.ports(v) == range(1, degrees[v] + 1)
+        assert graph.neighbours(v) == tuple(
+            involution[v, i][0] for i in range(1, degrees[v] + 1)
+        )
+        assert graph.edges_at(v) == tuple(
+            PortEdge.make(v, i, *involution[v, i])
+            for i in range(1, degrees[v] + 1)
+        )
     for (v, i), (u, j) in involution.items():
         assert graph.connection(v, i) == (u, j)
         assert graph.neighbour(v, i) == u
