@@ -1,7 +1,7 @@
 """Primal engine: a fast feasible matching certifying ``ν >= |M|``.
 
-Randomized greedy maximal matching, then a bounded-depth augmenting
-search, both over the compiled CSR arrays.
+Randomized greedy maximal matching, optionally improved by a
+bounded-depth augmenting search, both over the compiled CSR arrays.
 
 The greedy is the sequential one — scan the edges in a seeded random
 priority order, keep an edge when both endpoints are still free — run
@@ -21,9 +21,13 @@ that only costs tightness, never soundness: whatever the search returns
 is a genuine matching, and augmenting preserves maximality because the
 matched vertex set only ever grows.
 
-The result doubles as the cheap half of the EDS sandwich: a maximal
-matching *is* a feasible edge dominating set, so ``|M|`` upper-bounds
-the EDS optimum while lower-bounding ν.
+The greedy alone is the upper side of every EDS bracket
+(:func:`greedy_witness`): a maximal matching *is* a feasible edge
+dominating set, so ``|M|`` upper-bounds the EDS optimum while
+lower-bounding ν.  Augmenting only grows ``|M|``, which tightens the ν
+side and loosens the EDS side, so the augmented matching
+(:func:`primal_matching`) serves the ν sandwich alone and starts from
+the same memoised greedy.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from array import array
 import numpy as np
 
 from repro.bounds.result import BoundResult, MatchingCertificate
+from repro.obs.spans import current_recorder, span
 from repro.portgraph.graph import PortNumberedGraph
 
 __all__ = [
     "edge_priority",
     "greedy_matching",
+    "greedy_witness",
     "primal_bound",
     "primal_matching",
 ]
@@ -99,14 +105,45 @@ def greedy_matching(vg, priority: np.ndarray) -> np.ndarray:
     return selected
 
 
+def _search(
+    u: int, depth: int, offsets, peer, mp, visited
+) -> list[int] | None:
+    """The unmatched ports of an augmenting path from *u*, or ``None``.
+
+    A module function, not a closure over :func:`_augment`'s tables: a
+    recursive closure refers to itself through its own cell, and that
+    cycle would keep the tables alive until the cyclic collector ran.
+    """
+    for g in range(offsets[u], offsets[u + 1]):
+        v = peer[g]
+        if visited[v]:
+            continue
+        matched_port = mp[v]
+        if matched_port < 0:
+            visited[v] = 1
+            return [g]
+        if depth >= DEFAULT_MAX_DEPTH:
+            continue
+        w = peer[matched_port]
+        if visited[w]:
+            continue
+        visited[v] = visited[w] = 1
+        tail = _search(w, depth + 1, offsets, peer, mp, visited)
+        if tail is not None:
+            tail.append(g)
+            return tail
+    return None
+
+
 def _augment(cg, selected: np.ndarray) -> np.ndarray:
     """Depth-bounded augmenting passes from the free vertices.
 
-    The search walks the compiled ``array('q')`` tables plus an
-    ``array('q')`` copy of ``peer_node``: ``mp[v]`` is the port at ``v``
-    of its matched edge, or -1.  *visited* is shared across one pass
-    (vertices are never unmarked), which keeps the pass linear and the
-    found paths pairwise vertex-disjoint.
+    Returns a new mask; *selected* is only read.  The search walks the
+    compiled ``array('q')`` tables plus an ``array('q')`` copy of
+    ``peer_node``: ``mp[v]`` is the port at ``v`` of its matched edge,
+    or -1.  *visited* is shared across one pass (vertices are never
+    unmarked), which keeps the pass linear and the found paths pairwise
+    vertex-disjoint.
     """
     vg = cg.vector()
     offsets, mate, owner = cg.offsets, cg.mate, cg.port_node
@@ -117,28 +154,6 @@ def _augment(cg, selected: np.ndarray) -> np.ndarray:
     mp = array("q", mp_np.tobytes())
     free = np.flatnonzero((mp_np < 0) & (vg.degrees > 0)).tolist()
 
-    def search(u: int, depth: int) -> list[int] | None:
-        # Returns the unmatched ports of an augmenting path from *u*.
-        for g in range(offsets[u], offsets[u + 1]):
-            v = peer[g]
-            if visited[v]:
-                continue
-            matched_port = mp[v]
-            if matched_port < 0:
-                visited[v] = 1
-                return [g]
-            if depth >= DEFAULT_MAX_DEPTH:
-                continue
-            w = peer[matched_port]
-            if visited[w]:
-                continue
-            visited[v] = visited[w] = 1
-            tail = search(w, depth + 1)
-            if tail is not None:
-                tail.append(g)
-                return tail
-        return None
-
     for _ in range(DEFAULT_PASSES):
         visited = bytearray(vg.num_nodes)
         augmented = False
@@ -146,7 +161,7 @@ def _augment(cg, selected: np.ndarray) -> np.ndarray:
             if mp[root] >= 0 or visited[root]:
                 continue
             visited[root] = 1
-            path = search(root, 0)
+            path = _search(root, 0, offsets, peer, mp, visited)
             if path is None:
                 continue
             # Every vertex on the path gets one of the path's unmatched
@@ -166,27 +181,56 @@ def _augment(cg, selected: np.ndarray) -> np.ndarray:
     return result
 
 
-def primal_matching(graph: PortNumberedGraph, *, seed: int = 0) -> np.ndarray:
-    """A maximal matching as a bool port mask over ``graph.compiled()``:
-    greedy in a seeded random order, then augmented.
-
-    Deterministic for a given ``(graph, seed)`` — the order comes from
-    ``np.random.default_rng(seed)`` over the canonical edge order and
-    every later scan follows node order.
-    """
-    graph.require_simple()
-    cg = graph.compiled()
-    vg = cg.vector()
-    return _augment(cg, greedy_matching(vg, edge_priority(vg, seed)))
-
-
-def primal_bound(graph: PortNumberedGraph, *, seed: int = 0) -> BoundResult:
-    """The primal half on its own: ``|M| <= ν <= 2|M|`` by maximality."""
-    certificate = MatchingCertificate(
-        selected=primal_matching(graph, seed=seed), maximal=True
-    )
+def _maximal_matching_bound(selected: np.ndarray) -> BoundResult:
+    """``|M| <= ν <= 2|M|`` for a maximal matching given as a port mask."""
+    certificate = MatchingCertificate(selected=selected, maximal=True)
     size = certificate.size
     return BoundResult(
         lower=size, upper=2 * size, certificate=certificate,
         exact=(size == 0),
     )
+
+
+def greedy_witness(graph: PortNumberedGraph, *, seed: int = 0) -> BoundResult:
+    """The greedy maximal matching in a seeded random order, not
+    augmented, as the bracket ``|M| <= ν <= 2|M|``.
+
+    ``M`` is a feasible EDS, so ``|M|`` is the upper side of the EDS
+    bracket.  The result is a function of ``(graph, seed)`` and is
+    memoised on ``graph.compiled().memo`` with a read-only mask: the
+    first call computes it under the ``optimum:witness`` span and counts
+    ``optimum.witness``; later calls (the cell's other units, and
+    :func:`primal_matching`, which augments it) return it.
+    """
+    graph.require_simple()
+    cg = graph.compiled()
+    key = ("greedy_witness", seed)
+    result = cg.memo.get(key)
+    if result is None:
+        vg = cg.vector()
+        with span("optimum:witness"):
+            selected = greedy_matching(vg, edge_priority(vg, seed))
+        selected.flags.writeable = False
+        result = _maximal_matching_bound(selected)
+        cg.memo[key] = result
+        recorder = current_recorder()
+        if recorder is not None:
+            recorder.count("optimum.witness")
+    return result
+
+
+def primal_matching(graph: PortNumberedGraph, *, seed: int = 0) -> np.ndarray:
+    """A maximal matching as a bool port mask over ``graph.compiled()``:
+    :func:`greedy_witness`'s matching, augmented.
+
+    Deterministic for a given ``(graph, seed)`` — the order comes from
+    ``np.random.default_rng(seed)`` over the canonical edge order and
+    every later scan follows node order.
+    """
+    greedy = greedy_witness(graph, seed=seed).certificate.selected
+    return _augment(graph.compiled(), greedy)
+
+
+def primal_bound(graph: PortNumberedGraph, *, seed: int = 0) -> BoundResult:
+    """The primal half on its own: ``|M| <= ν <= 2|M|`` by maximality."""
+    return _maximal_matching_bound(primal_matching(graph, seed=seed))

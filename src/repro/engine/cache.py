@@ -50,20 +50,28 @@ logger = logging.getLogger(__name__)
 #: unit's ``GraphSpec`` instead of the whole ``JobSpec``, so
 #: ``dual_bound`` brackets (``nu_lower``/``nu_upper`` and the interval
 #: fields derived from them) change and every unit of a cell shares one.
-CACHE_SCHEMA_VERSION = 4
+#: v5: the bracket takes each side from the part that can bind — the
+#: upper side is the un-augmented greedy matching (``optimum_upper``
+#: and ``ratio_lo`` tighten or stay), and the ν sandwich runs only where
+#: ν can raise the lower side, so records elsewhere (every regular
+#: graph) lose ``nu_lower``/``nu_upper``; ``optimum_lower`` and
+#: ``ratio_hi`` are unchanged.
+CACHE_SCHEMA_VERSION = 5
 
 #: The pre-bounds schema tag.  Schema bumps since v3 are *scoped*: only
 #: the ``dual_bound`` mode addresses under the current schema; every
 #: historical mode — ``exact``, ``none``, ``lower_bound``, ``auto`` —
 #: keeps its v2 address, because its record bytes are unchanged
-#: (interval fields are only emitted by the sandwich path) and
+#: (interval fields are only emitted by the bracket path) and
 #: invalidating terabyte-scale sweep caches for a feature they do not
 #: use would be pure waste.  ``auto`` units above
 #: :data:`repro.bounds.DUAL_BOUND_EDGE_LIMIT` edges resolve to the
-#: sandwich too, under their v2 address.  A stale v2 entry there holds
-#: either a sound (blossom) lower bound without the interval columns,
-#: or a sandwich bracket from before v4: sound (it was verified when
-#: written), but one a fresh run no longer reproduces byte for byte.
+#: bracket too, under their v2 address, so their record bytes changed
+#: at v4 and again at v5 while their address did not.  A stale v2 entry
+#: there holds either a sound (blossom) lower bound without the
+#: interval columns, or a bracket from before v5: sound (it was
+#: verified when written), but one a fresh run no longer reproduces
+#: byte for byte.
 _LEGACY_SCHEMA_VERSION = 2
 
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -31,6 +31,8 @@ from repro.analysis.reference import regular_odd_reference
 from repro.bounds import (
     DUAL_BOUND_EDGE_LIMIT,
     BoundResult,
+    greedy_witness,
+    nu_can_bind,
     nu_sandwich,
     verify_certificate,
 )
@@ -194,7 +196,9 @@ class OptimumOutcome:
     that side"); ``nu`` carries the ν sandwich when one was computed, so
     telemetry can report the dual−primal gap.  ``resolved`` names the
     engine that actually ran — ``auto`` units record whether they
-    escalated to ``"exact"``, ``"blossom"`` or ``"sandwich"``.
+    escalated to ``"exact"``, ``"blossom"`` or the certified bracket:
+    ``"sandwich"`` where ν was computed, ``"greedy"`` where the greedy
+    witness and ``⌈m/(2Δ−1)⌉`` alone made it.
     """
 
     lower: int
@@ -210,8 +214,8 @@ class QualityMeasure(Measure):
 
     The unit's ``optimum`` field selects the baseline: ``"exact"``
     (branch-and-bound), ``"lower_bound"`` (poly-time bound),
-    ``"dual_bound"`` (the certified ν sandwich — interval ratios),
-    ``"auto"`` (exact while affordable, then blossom, then sandwich)
+    ``"dual_bound"`` (a certified bracket — interval ratios),
+    ``"auto"`` (exact while affordable, then blossom, then the bracket)
     or ``"none"`` (sizes and rounds only).  A unit that
     :meth:`needs_trace` also records its message count.
     """
@@ -232,40 +236,49 @@ class QualityMeasure(Measure):
                 opt.attrs["resolved"] = out.resolved
                 if out.nu is not None:
                     opt.attrs["gap"] = out.nu.gap
-            if out.nu is not None:
+            if out.resolved in ("greedy", "sandwich"):
                 rec = current_recorder()
                 if rec is not None:
-                    rec.count("optimum.sandwich")
-                    rec.count("optimum.gap_total", out.nu.gap)
+                    rec.count("optimum.bracket")
+                    if out.nu is not None:
+                        rec.count("optimum.sandwich")
+                        rec.count("optimum.gap_total", out.nu.gap)
         return out
 
     @staticmethod
-    def _sandwich(spec: JobSpec, graph: PortNumberedGraph) -> OptimumOutcome:
-        """The dual_bound path: a verified ν bracket → an EDS interval.
+    def _bracket(spec: JobSpec, graph: PortNumberedGraph) -> OptimumOutcome:
+        """The dual_bound path: a certified EDS interval.
 
-        The primal matching order derives from the unit's graph spec
-        (``derive_seed``), so the bracket — like everything else in a
-        record — is a pure function of the spec, and every unit of one
-        cell gets the same one: :func:`nu_sandwich` memoises it on the
-        compiled graph, so it is computed once per cell.  Every emitted
-        bound is still re-proven by :func:`repro.bounds.
-        verify_certificate` under its own span, once per unit, before
-        it may enter a record.
+        The upper side is the greedy maximal matching
+        (:func:`repro.bounds.greedy_witness`), itself a feasible EDS.
+        The lower side is ``max(⌈ν/2⌉, ⌈m/(2Δ−1)⌉)`` with the ν sandwich's
+        ``ν >= |M|``, and the sandwich runs only where
+        :func:`repro.bounds.nu_can_bind` says ν can set that maximum;
+        elsewhere (every regular graph) the lower side is
+        ``⌈m/(2Δ−1)⌉`` and the record carries no ``nu_*`` extras.
+
+        Both are seeded from the unit's graph spec (``derive_seed``), so
+        the bracket — like everything else in a record — is a pure
+        function of the spec, and every unit of one cell gets the same
+        one: both are memoised on the compiled graph, so they are
+        computed once per cell.  Every certificate is still re-proven
+        by :func:`repro.bounds.verify_certificate` under its own span,
+        once per unit, before it may enter a record.
         """
-        nu = nu_sandwich(
-            graph, seed=derive_seed("bounds", spec.graph.to_json_dict())
-        )
+        seed = derive_seed("bounds", spec.graph.to_json_dict())
+        witness = greedy_witness(graph, seed=seed)
+        nu = nu_sandwich(graph, seed=seed) if nu_can_bind(graph) else None
         with span("optimum_verify"):
-            verify_certificate(graph, nu)
+            verify_certificate(graph, witness)
+            if nu is not None:
+                verify_certificate(graph, nu)
         lower = eds_lower_bound_from_nu(
-            nu.lower, graph.num_edges, graph.max_degree
+            0 if nu is None else nu.lower,
+            graph.num_edges, graph.max_degree,
         )
-        # The primal maximal matching is itself a feasible EDS, so its
-        # size upper-bounds the optimum.
-        upper = nu.lower if graph.num_edges else 0
         return OptimumOutcome(
-            lower=lower, upper=upper, exact=False,
-            resolved="sandwich", nu=nu,
+            lower=lower, upper=witness.lower, exact=False,
+            resolved="greedy" if nu is None else "sandwich", nu=nu,
         )
 
     @staticmethod
@@ -282,9 +295,9 @@ class QualityMeasure(Measure):
                 eds_lower_bound(graph), 0, False, "blossom"
             )
         if spec.optimum == "dual_bound":
-            return QualityMeasure._sandwich(spec, graph)
+            return QualityMeasure._bracket(spec, graph)
         # "auto": exact while affordable, then the blossom lower bound,
-        # then the certified sandwich once blossom itself is the cost.
+        # then the certified bracket once blossom itself is the cost.
         if graph.num_edges <= spec.exact_edge_limit:
             value = minimum_eds_size(graph)
             return OptimumOutcome(value, value, True, "exact")
@@ -292,7 +305,7 @@ class QualityMeasure(Measure):
             return OptimumOutcome(
                 eds_lower_bound(graph), 0, False, "blossom"
             )
-        return QualityMeasure._sandwich(spec, graph)
+        return QualityMeasure._bracket(spec, graph)
 
     def measure(
         self, graph: PortNumberedGraph, run: AlgorithmRun

@@ -6,10 +6,10 @@ graphs with d ∈ {2..10} and n up to 2048, ten seeds per cell — and is
 only practical through the engine's sharded executor and cache;
 ``xlarge-regular`` pushes n to 16384 on top of the compiled simulation
 core (E19) and, since the certified-bounds subsystem (E21), reports
-ratio intervals from the ν sandwich instead of running blind;
+certified ratio intervals instead of running blind;
 ``huge-regular`` rides the direct-to-CSR pairing-model generator to
-n = 10^6 (E24, vector engine) and, since the array-native sandwich
-(E28), reports certified ratio intervals there too;
+n = 10^6 (E24, vector engine) and, since the array-native bounds
+(E28, E35), reports certified ratio intervals there too;
 ``comparison`` is the regular-family half of the ``repro-eds compare``
 head-to-head (paper algorithms vs the :mod:`repro.baselines` family).
 """
@@ -45,9 +45,10 @@ SCENARIOS: dict[str, SweepGrid] = {
     # 16384, where the dict-based scheduler alone spent minutes per
     # unit.  Ratios ran as ``optimum="none"`` until the certified
     # bounds subsystem (E21): the blossom lower bound was ~3 minutes
-    # per unit at this size, while the primal/dual ν sandwich brackets
-    # the optimum in under a second — so the scenario now reports
-    # honest ratio *intervals* (``ratio_lo``/``ratio_hi``) end to end.
+    # per unit at this size, while the certified bracket (the greedy
+    # witness over ⌈m/(2Δ−1)⌉ on these regular graphs, E35) takes well
+    # under a second — so the scenario now reports honest ratio
+    # *intervals* (``ratio_lo``/``ratio_hi``) end to end.
     "xlarge-regular": SweepGrid(
         name="xlarge-regular",
         algorithms=("port_one", "regular_odd", "bounded_degree"),
@@ -60,9 +61,9 @@ SCENARIOS: dict[str, SweepGrid] = {
     # The million-node scenario the direct-to-CSR path unlocks: the
     # pairing-model generator emits compiled arrays in O(nd), so graph
     # build stays seconds even at n = 10^6 where the networkx regular
-    # family spent minutes in dict walks.  The ν sandwich runs over the
-    # same arrays once per cell (E28: seconds at 4·10^6 edges), so the
-    # scenario reports certified ratio intervals at every size.
+    # family spent minutes in dict walks.  The certified bracket runs
+    # over the same arrays once per cell (E28, E35), so the scenario
+    # reports certified ratio intervals at every size.
     "huge-regular": SweepGrid(
         name="huge-regular",
         algorithms=("port_one", "regular_odd", "bounded_degree"),

@@ -117,10 +117,11 @@ class JobSpec:
     * ``"quality"`` — run the algorithm, check feasibility, and measure
       the solution against an optimum chosen by ``optimum``:
       ``"exact"`` (branch-and-bound), ``"lower_bound"`` (poly-time bound),
-      ``"dual_bound"`` (the certified primal/dual ν sandwich from
-      :mod:`repro.bounds` — interval ratios in near-linear time),
+      ``"dual_bound"`` (a certified bracket from :mod:`repro.bounds`:
+      the greedy matching above, the ν sandwich below where ν can bind
+      — interval ratios in near-linear time),
       ``"auto"`` (exact up to ``exact_edge_limit`` edges, then the
-      blossom bound, then the sandwich past
+      blossom bound, then the bracket past
       :data:`repro.bounds.DUAL_BOUND_EDGE_LIMIT` edges) or ``"none"``
       (sizes and rounds only — for round-complexity sweeps);
     * ``"messages"`` — run with tracing and record the message traffic;

@@ -174,19 +174,27 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
             f"graph build: {built:g} graph(s) for {units:g} unit(s), "
             f"{int(edges):,} edge(s) in {_fmt_s(build_s)}{per_s}"
         )
-    sandwiches = m.counter("optimum.sandwich")
-    if sandwiches:
-        # Units of one cell share its sandwich: the first computes it,
-        # the rest count ``optimum.sandwich_shared``.
-        computed = sandwiches - m.counter("optimum.sandwich_shared")
-        mean_gap = m.counter("optimum.gap_total") / sandwiches
+    brackets = m.counter("optimum.bracket")
+    if brackets:
+        # Units of one cell share its greedy witness: the first computes
+        # it and counts ``optimum.witness``.
         verify = m.summary("phase.optimum_verify")
         lines.append(
-            f"optimum: {computed:g} ν-sandwich(es) for {sandwiches:g} "
-            f"unit(s), mean gap (dual−primal) {mean_gap:.1f}; "
-            f"certificate verification "
+            f"optimum: {m.counter('optimum.witness'):g} bracket(s) for "
+            f"{brackets:g} unit(s); certificate verification "
             f"{_fmt_s(verify['total'])} total "
             f"(p50 {_fmt_s(verify['p50'])} per unit)"
+        )
+    sandwiches = m.counter("optimum.sandwich")
+    if sandwiches:
+        # Only where ν can raise the lower side; units of one cell share
+        # the sandwich, the first computes it and the rest count
+        # ``optimum.sandwich_shared``.
+        computed = sandwiches - m.counter("optimum.sandwich_shared")
+        mean_gap = m.counter("optimum.gap_total") / sandwiches
+        lines.append(
+            f"optimum: {computed:g} ν-sandwich(es) for {sandwiches:g} "
+            f"unit(s), mean gap (dual−primal) {mean_gap:.1f}"
         )
     if session.has_memory():
         unit_mem = m.summary("unit.mem_peak_b")

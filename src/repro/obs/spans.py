@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+#: Span times are kept in whole nanoseconds, the precision of their JSON
+#: form: a recorded span and its JSON round trip then hold the same
+#: floats, so self times computed on either side agree exactly.
+_NS_DIGITS = 9
+
+
 @dataclass
 class Span:
     """One timed phase: name, offset from unit start, duration, attrs."""
@@ -70,8 +76,8 @@ class Span:
     def to_json_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {
             "name": self.name,
-            "start_s": round(self.start_s, 9),
-            "duration_s": round(self.duration_s, 9),
+            "start_s": round(self.start_s, _NS_DIGITS),
+            "duration_s": round(self.duration_s, _NS_DIGITS),
         }
         if self.parent is not None:
             data["parent"] = self.parent
@@ -141,7 +147,7 @@ class SpanRecorder:
         index = len(self.spans)
         self.spans.append(Span(
             name=name,
-            start_s=self._clock() - self._t0,
+            start_s=round(self._clock() - self._t0, _NS_DIGITS),
             parent=parent,
             attrs=dict(attrs) if attrs else {},
         ))
@@ -152,7 +158,9 @@ class SpanRecorder:
 
     def close(self, index: int) -> None:
         s = self.spans[index]
-        s.duration_s = (self._clock() - self._t0) - s.start_s
+        s.duration_s = round(
+            (self._clock() - self._t0) - s.start_s, _NS_DIGITS
+        )
         # Defensive: close any child left open by a non-local exit.
         while self._stack and self._stack[-1] != index:
             self._stack.pop()

@@ -8,7 +8,9 @@ the adversarial half does the same on the paper's lower-bound
 constructions, whose optimum is known by certificate.  The round-parallel
 greedy is checked edge for edge against a sequential reference, the
 array certificates against every corruption the verifier must catch,
-and the engine against its once-per-cell sandwich.  The
+and the engine against its once-per-cell witness and sandwich.  The
+skip test (ν is computed only where it can raise the EDS lower bound)
+is checked against the exact ν on every graph of up to six nodes.  The
 byte-stability half pins the content addresses and record bytes of the
 pre-bounds optimum modes against fixtures recorded *before* this
 subsystem existed (``tests/data/v2_optimum_keys.json``).
@@ -16,6 +18,7 @@ subsystem existed (``tests/data/v2_optimum_keys.json``).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -38,7 +41,9 @@ from repro.bounds import (
     dual_bound,
     exact_bound,
     fractional_vertex_cover,
+    greedy_witness,
     maximum_matching_mask,
+    nu_can_bind,
     nu_sandwich,
     primal_bound,
     primal_matching,
@@ -54,10 +59,10 @@ from repro.eds.bounds import (
 )
 from repro.eds.exact import minimum_eds_size
 from repro.eds.properties import is_edge_dominating_set
-from repro.engine.cache import cache_key
+from repro.engine.cache import ResultCache, cache_key
 from repro.engine.executor import execute_unit, run_units
 from repro.engine.records import ResultRecord, ResultStore
-from repro.engine.spec import GraphSpec, JobSpec, canonical_json
+from repro.engine.spec import GraphSpec, JobSpec, canonical_json, derive_seed
 from repro.exceptions import CertificateError
 from repro.lowerbounds.even import build_even_lower_bound
 from repro.lowerbounds.odd import build_odd_lower_bound
@@ -497,9 +502,23 @@ def _unit(n=16, d=3, seed=0, **kwargs):
     )
 
 
+#: A small irregular graph on which ν can raise the EDS lower bound
+#: (ν = 7: ⌈7/2⌉ = 4 > ⌈15/5⌉ = 3), so its dual_bound units run the ν
+#: sandwich; its exact optimum is cheap.
+NU_BINDS = GraphSpec.make("bounded", seed=1, max_degree=3, n=16)
+
+
+def _binding_unit(algorithm="port_one", **kwargs):
+    return JobSpec(algorithm=algorithm, graph=NU_BINDS, **kwargs)
+
+
+def test_nu_binds_on_the_bounded_fixture():
+    assert nu_can_bind(NU_BINDS.build())
+
+
 class TestEngineThreading:
     def test_dual_bound_record_brackets_exact_optimum(self):
-        spec = _unit(optimum="dual_bound")
+        spec = _binding_unit(optimum="dual_bound")
         record = execute_unit(spec)
         optimum = minimum_eds_size(spec.graph.build())
         assert record.has_interval
@@ -510,6 +529,20 @@ class TestEngineThreading:
         assert record.optimum == record.optimum_lower
         assert not record.optimum_exact
         assert record.extra["nu_lower"] <= record.extra["nu_upper"]
+
+    def test_regular_record_brackets_exact_optimum_without_nu(self):
+        spec = _unit(optimum="dual_bound")
+        record = execute_unit(spec)
+        optimum = minimum_eds_size(spec.graph.build())
+        assert record.has_interval
+        assert record.optimum_lower <= optimum <= record.optimum_upper
+        assert record.ratio_lo >= 1
+        assert record.ratio_lo <= record.ratio_hi
+        assert record.ratio == record.ratio_hi
+        assert record.optimum == record.optimum_lower
+        assert not record.optimum_exact
+        assert "nu_lower" not in record.extra
+        assert "nu_upper" not in record.extra
 
     def test_dual_bound_record_roundtrips(self):
         record = execute_unit(_unit(optimum="dual_bound"))
@@ -549,7 +582,7 @@ class TestEngineThreading:
 
     def test_telemetry_spans_and_counters(self):
         with recording() as rec:
-            execute_unit(_unit(optimum="dual_bound"))
+            execute_unit(_binding_unit(optimum="dual_bound"))
         names = [s.name for s in rec.spans]
         assert "optimum" in names
         assert "optimum_verify" in names
@@ -559,9 +592,27 @@ class TestEngineThreading:
         assert "gap" in optimum_span.attrs
         assert rec.counters["optimum.sandwich"] == 1
         assert "optimum.gap_total" in rec.counters
+        assert rec.counters["optimum.bracket"] == 1
+        assert rec.counters["optimum.witness"] == 1
+
+    def test_telemetry_without_the_sandwich(self):
+        with recording() as rec:
+            execute_unit(_unit(optimum="dual_bound"))
+        names = [s.name for s in rec.spans]
+        assert "optimum:witness" in names
+        assert "optimum_verify" in names
+        assert "optimum:primal" not in names
+        assert "optimum:dual" not in names
+        optimum_span = next(s for s in rec.spans if s.name == "optimum")
+        assert optimum_span.attrs["resolved"] == "greedy"
+        assert "gap" not in optimum_span.attrs
+        assert rec.counters["optimum.bracket"] == 1
+        assert rec.counters["optimum.witness"] == 1
+        assert "optimum.sandwich" not in rec.counters
 
     def test_sandwich_runs_once_per_cell(self, monkeypatch):
-        """Two algorithms on one GraphSpec: one sandwich, one bracket."""
+        """Three algorithms on one GraphSpec where ν binds: one
+        sandwich, one bracket."""
         import repro.bounds as bounds
 
         calls = []
@@ -572,6 +623,38 @@ class TestEngineThreading:
             return real(graph, seed=seed)
 
         monkeypatch.setattr(bounds, "primal_matching", counting)
+        units = [
+            _binding_unit(name, optimum="dual_bound")
+            for name in ("port_one", "bounded_degree", "ids_greedy")
+        ]
+        records = run_units(units, backend="inline").records
+        assert len(calls) == 1
+        brackets = {
+            (r.extra["nu_lower"], r.extra["nu_upper"], r.optimum_lower)
+            for r in records
+        }
+        assert len(brackets) == 1
+        for r in records:
+            assert type(r.extra["nu_lower"]) is int
+            assert type(r.extra["nu_upper"]) is int
+
+    def test_witness_runs_once_per_cell(self, monkeypatch):
+        """Three algorithms on one regular GraphSpec: one greedy, one
+        bracket, no sandwich."""
+        import repro.bounds.primal as primal
+
+        calls = []
+        real = primal.greedy_matching
+
+        def counting(vg, priority):
+            calls.append(vg.num_nodes)
+            return real(vg, priority)
+
+        def refuse(graph, *, seed=0):
+            raise AssertionError("ν sandwich on a regular graph")
+
+        monkeypatch.setattr(primal, "greedy_matching", counting)
+        monkeypatch.setattr("repro.engine.measures.nu_sandwich", refuse)
         graph = GraphSpec.make("regular", seed=3, d=3, n=32)
         units = [
             JobSpec(algorithm=name, graph=graph, optimum="dual_bound")
@@ -579,13 +662,13 @@ class TestEngineThreading:
         ]
         records = run_units(units, backend="inline").records
         assert len(calls) == 1
-        brackets = {
-            (r.extra["nu_lower"], r.extra["nu_upper"]) for r in records
-        }
-        assert len(brackets) == 1
+        assert len({r.optimum_lower for r in records}) == 1
+        witness = greedy_witness(graph.build(), seed=derive_seed(
+            "bounds", graph.to_json_dict()
+        ))
         for r in records:
-            assert type(r.extra["nu_lower"]) is int
-            assert type(r.extra["nu_upper"]) is int
+            assert r.optimum_upper == min(witness.lower, r.solution_size)
+            assert "nu_lower" not in r.extra
 
     def test_dual_bound_on_array_graph_builds_no_port_edges(
         self, monkeypatch
@@ -596,14 +679,142 @@ class TestEngineThreading:
         monkeypatch.setattr(
             PortNumberedGraph, "_iter_array_edges", refuse
         )
-        spec = JobSpec(
-            algorithm="bounded_degree",
-            graph=GraphSpec.make("pairing_regular", seed=1, d=4, n=512),
-            optimum="dual_bound",
-        )
-        record = execute_unit(spec)
-        assert record.has_interval
-        assert record.extra["nu_lower"] <= record.extra["nu_upper"]
+        for graph in (
+            GraphSpec.make("pairing_regular", seed=1, d=4, n=512), NU_BINDS
+        ):
+            record = execute_unit(JobSpec(
+                algorithm="bounded_degree", graph=graph,
+                optimum="dual_bound",
+            ))
+            assert record.has_interval
+            if graph is NU_BINDS:
+                nu_lower = record.extra["nu_lower"]
+                assert nu_lower <= record.extra["nu_upper"]
+
+
+# ---------------------------------------------------------------------------
+# Compute ν only where it can bind
+# ---------------------------------------------------------------------------
+
+
+class TestBracketRoutes:
+    @pytest.mark.parametrize("graph", [
+        GraphSpec.make("regular", seed=2, d=3, n=64),
+        GraphSpec.make("regular", seed=0, d=4, n=40),
+        GraphSpec.make("pairing_regular", seed=1, d=4, n=512),
+        GraphSpec.make("pairing_regular", seed=2, d=3, n=256),
+    ], ids=lambda g: g.label())
+    def test_regular_units_never_compute_nu(self, monkeypatch, graph):
+        import repro.bounds as bounds
+        import repro.bounds.primal as primal
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ν computed on a regular graph")
+
+        monkeypatch.setattr(primal, "_augment", refuse)
+        monkeypatch.setattr(bounds, "fractional_vertex_cover", refuse)
+        records = run_units([
+            JobSpec(algorithm=name, graph=graph, optimum="dual_bound")
+            for name in ("port_one", "bounded_degree")
+        ], backend="inline").records
+        monkeypatch.undo()
+
+        g = graph.build()
+        nu = nu_sandwich(g, seed=derive_seed("bounds", graph.to_json_dict()))
+        for r in records:
+            assert r.optimum_lower == eds_lower_bound_from_nu(
+                nu.lower, g.num_edges, g.max_degree
+            )
+            # nu.lower is the augmented |M|, which is never smaller.
+            assert r.optimum_upper <= nu.lower
+            assert "nu_lower" not in r.extra
+
+    def test_skip_is_sound_on_every_graph_up_to_six_nodes(self):
+        """Every graph of the networkx atlas with 1–6 nodes and an edge:
+        wherever the sandwich is skipped, ⌈ν/2⌉ <= ⌈m/(2Δ−1)⌉ for the
+        exact ν, and every regular one is skipped."""
+        import networkx as nx
+
+        from repro.portgraph.convert import from_networkx
+
+        skipped = 0
+        for atlas in nx.graph_atlas_g():
+            if atlas.number_of_nodes() > 6 or not atlas.number_of_edges():
+                continue
+            g = from_networkx(atlas)
+            if g.regularity() is not None:
+                assert not nu_can_bind(g), sorted(atlas.edges)
+            if nu_can_bind(g):
+                continue
+            skipped += 1
+            nu = maximum_matching_size(g)
+            m, delta = g.num_edges, g.max_degree
+            assert -(-nu // 2) <= -(-m // (2 * delta - 1)), sorted(
+                atlas.edges
+            )
+        assert skipped > 0
+
+    @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
+    def test_skip_is_sound_on_the_family_matrix(self, name, make, d):
+        g = make()
+        if g.regularity() is not None:
+            assert not nu_can_bind(g), name
+        if not nu_can_bind(g):
+            nu = maximum_matching_size(g)
+            m, delta = g.num_edges, g.max_degree
+            assert eds_lower_bound_from_nu(
+                nu, m, delta
+            ) == eds_lower_bound_from_nu(0, m, delta), name
+
+    def test_non_maximal_witness_fails_before_any_record(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.engine.measures as measures
+
+        def truncated(graph, *, seed=0):
+            # The real witness minus one matched edge: still a matching,
+            # no longer maximal.
+            real = greedy_witness(graph, seed=seed)
+            selected = real.certificate.selected.copy()
+            mate = graph.compiled().vector().mate
+            g = int(np.flatnonzero(selected)[0])
+            selected[g] = selected[mate[g]] = False
+            size = real.lower - 1
+            return BoundResult(
+                lower=size, upper=2 * size,
+                certificate=MatchingCertificate(selected, maximal=True),
+                exact=False,
+            )
+
+        monkeypatch.setattr(measures, "greedy_witness", truncated)
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(CertificateError, match="maximality"):
+            run_units([_unit(optimum="dual_bound")], cache=cache)
+        assert len(cache) == 0
+
+    def test_witness_is_memoised_read_only(self):
+        g = GraphSpec.make("regular", seed=0, d=3, n=16).build()
+        witness = greedy_witness(g, seed=5)
+        assert greedy_witness(g, seed=5) is witness
+        selected = witness.certificate.selected
+        with pytest.raises(ValueError):
+            selected[0] = selected[0]
+        assert verify_certificate(g, witness)
+        # The sandwich augments this same greedy: never smaller.
+        assert nu_sandwich(g, seed=5).lower >= witness.lower
+
+    def test_augment_leaves_no_reference_cycle(self):
+        g = GraphSpec.make("pairing_regular", seed=1, d=4, n=4096).build()
+        primal_matching(g, seed=0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            primal_matching(g, seed=0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSummaryAndCompareIntervals:
@@ -688,7 +899,11 @@ class TestByteStability:
         assert cache_key(spec) != hashlib.sha256(
             canonical_json(previous_payload).encode()
         ).hexdigest()
-        current_payload = {"schema": 4, "unit": spec.to_json_dict()}
+        v4_payload = {"schema": 4, "unit": spec.to_json_dict()}
+        assert cache_key(spec) != hashlib.sha256(
+            canonical_json(v4_payload).encode()
+        ).hexdigest()
+        current_payload = {"schema": 5, "unit": spec.to_json_dict()}
         assert cache_key(spec) == hashlib.sha256(
             canonical_json(current_payload).encode()
         ).hexdigest()

@@ -132,6 +132,24 @@ class TestSpans:
             unit.phase_self_times()
         )
 
+    def test_span_times_survive_json_exactly(self):
+        # A clock far from its epoch, as after a day of uptime: the
+        # difference of two readings carries the clock's float error,
+        # which the 1e-9 s JSON form would round away.
+        readings = iter([81_700.0, 81_700.001, 81_700.001003929992])
+        rec = SpanRecorder(clock=lambda: next(readings))
+        rec.close(rec.open("simulate"))
+        unit = UnitTelemetry.from_recorder(
+            rec, key="k" * 64, algorithm="port_one", label="test",
+            measure="quality", wall_s=0.5,
+        )
+        clone = UnitTelemetry.from_json_dict(
+            json.loads(json.dumps(unit.to_json_dict()))
+        )
+        assert clone.spans[0].start_s == unit.spans[0].start_s
+        assert clone.spans[0].duration_s == unit.spans[0].duration_s
+        assert clone.phase_self_times() == unit.phase_self_times()
+
 
 class TestMetrics:
     def test_percentile_nearest_rank(self):
@@ -287,23 +305,26 @@ class TestInstrumentedExecution:
         )
 
     def test_sandwich_split_and_sharing_reported(self):
-        """The cell's first dual_bound unit computes the ν sandwich under
-        ``optimum:primal`` / ``optimum:dual``; the others hit the memo,
-        record neither span and count ``optimum.sandwich_shared``."""
+        """Where ν can bind, the cell's first dual_bound unit computes the
+        ν sandwich under ``optimum:primal`` / ``optimum:dual``; the
+        others hit the memo, record neither span and count
+        ``optimum.sandwich_shared``."""
+        from repro.bounds import nu_can_bind
         from repro.obs import render_report
 
         grid = SweepGrid(
             name="telemetry-sandwich",
             algorithms=("port_one", "bounded_degree"),
-            family="regular",
+            family="bounded",
             degrees=(3, 4),
-            sizes=(16,),
+            sizes=(32,),
             seeds=1,
             optimum="dual_bound",
         )
         specs = grid.expand()
         cells = len(list(grid.cells()))
         assert cells < len(specs)
+        assert all(nu_can_bind(spec.graph.build()) for spec in specs)
         with telemetry() as session:
             run_units(specs, backend="inline")
         computed = [
@@ -324,6 +345,47 @@ class TestInstrumentedExecution:
             f"optimum: {cells} ν-sandwich(es) for {len(specs)} unit(s), "
             in render_report(session)
         )
+
+    def test_witness_sharing_reported(self):
+        """On regular graphs ν cannot bind: the cell's first dual_bound
+        unit computes the greedy witness under ``optimum:witness`` and
+        counts ``optimum.witness``; no unit runs the sandwich."""
+        from repro.obs import render_report
+
+        grid = SweepGrid(
+            name="telemetry-witness",
+            algorithms=("port_one", "bounded_degree"),
+            family="regular",
+            degrees=(3, 4),
+            sizes=(16,),
+            seeds=1,
+            optimum="dual_bound",
+        )
+        specs = grid.expand()
+        cells = len(list(grid.cells()))
+        assert cells < len(specs)
+        with telemetry() as session:
+            run_units(specs, backend="inline")
+        computed = [
+            u for u in session.units
+            if "optimum:witness" in u.phase_self_times()
+        ]
+        assert len(computed) == cells
+        for unit in session.units:
+            phases = unit.phase_self_times()
+            assert "optimum_verify" in phases
+            assert "optimum:primal" not in phases
+            assert "optimum:dual" not in phases
+            witness = unit.counters.get("optimum.witness", 0)
+            assert witness == (1 if unit in computed else 0)
+            assert unit.counters["optimum.bracket"] == 1
+        assert session.metrics.counter("optimum.witness") == cells
+        assert session.metrics.counter("optimum.sandwich") == 0
+        report = render_report(session)
+        assert f"optimum: {cells} bracket(s) for {len(specs)} unit(s); " in (
+            report
+        )
+        assert "ν-sandwich(es)" not in report
 
 
 # ---------------------------------------------------------------------------
