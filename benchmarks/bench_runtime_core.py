@@ -1,10 +1,13 @@
-"""The simulation-core perf trajectory: legacy vs compiled vs vector.
+"""The simulation-core perf trajectory: reference vs compiled vs vector.
 
 This is the repo's core performance number across its engines: for
 representative ``large-regular`` and ``xlarge-regular`` cells it times
-the legacy dict-based reference loop, the compiled per-node loop and
-the default vector engine against each other, asserts they produce
-identical results, and derives units/sec and rounds/sec throughput.
+the dict-routed reference loop of ``tests/reference_loop.py``, the
+compiled per-node loop and the default vector engine against each
+other, asserts they produce identical results, and derives units/sec
+and rounds/sec throughput.  The reference's columns, gates and ledger
+entry keep the name ``legacy`` they had when the loop was an engine,
+so the trajectories stay comparable across that move.
 
 Two timing disciplines per engine:
 
@@ -15,17 +18,19 @@ Two timing disciplines per engine:
   run, so the memoised derived tables (vector schedules and views) are
   already in place and the figure is the round loop itself.
 
-The legacy reference loop is only timed on the ``large`` cells — on
-the ``xlarge`` ones it would dominate the benchmark's own runtime by
+The reference loop is only timed on the ``large`` cells — on the
+``xlarge`` ones it would dominate the benchmark's own runtime by
 minutes while measuring nothing new.
 
-Run as a script to emit the machine-readable trajectory artifact::
+Run as a script from the repository root (``.`` on the path makes the
+reference importable as ``tests.reference_loop``) to emit the
+machine-readable trajectory artifact::
 
-    PYTHONPATH=src python benchmarks/bench_runtime_core.py --out BENCH_runtime.json
+    PYTHONPATH=src:benchmarks:. python benchmarks/bench_runtime_core.py --out BENCH_runtime.json
 
 CI uploads the JSON as a build artifact; the committed copy records the
 machine named in EXPERIMENTS.md.  The pytest entry points double as the
-perf-smoke gates (the default vector engine ≥ 2× legacy, and vector
+perf-smoke gates (the default vector engine ≥ 2× the reference, and vector
 ≥ 2× compiled on round-dominated units — deliberately generous floors;
 the measured margins are far higher; and the bounded kernel's setup
 ≤ 5× the ``VectorGraph`` view it runs on) and the determinism check.
@@ -44,14 +49,16 @@ from repro.registry.families import get_family
 from repro.runtime import use_engine
 
 from conftest import emit
+from tests.reference_loop import REFERENCE, run_under
 
 #: Representative cells of the ``large-regular`` scenario (n ≤ 2048,
-#: legacy included) plus ``xlarge-regular`` cells (n = 16384, legacy
-#: skipped).  ``round_dominated`` marks units whose cost is the round
-#: loop itself — the speedup claims attach to those; ``port_one`` is a
-#: single round, so its run is setup-dominated and reported without the
-#: claim.  The ≥ 5× vector-over-compiled acceptance number of the
-#: vector-engine PR attaches to the round-dominated *xlarge* cells.
+#: reference included) plus ``xlarge-regular`` cells (n = 16384,
+#: reference skipped).  ``round_dominated`` marks units whose cost is
+#: the round loop itself — the speedup claims attach to those;
+#: ``port_one`` is a single round, so its run is setup-dominated and
+#: reported without the claim.  The ≥ 5× vector-over-compiled
+#: acceptance number of the vector-engine PR attaches to the
+#: round-dominated *xlarge* cells.
 UNITS = (
     {"algorithm": "port_one", "d": 5, "n": 1024,
      "round_dominated": False, "xlarge": False},
@@ -79,7 +86,8 @@ def _build(unit):
 
 
 def _time_engine(unit, engine: str, *, warm: bool = False):
-    """Best-of-REPS wall time of one unit under *engine*.
+    """Best-of-REPS wall time of one unit under *engine* (an engine
+    name, or ``REFERENCE``).
 
     Cold reps build a fresh graph each (the graph build itself is
     untimed, everything derived from it is timed); warm reps reuse one
@@ -90,7 +98,7 @@ def _time_engine(unit, engine: str, *, warm: bool = False):
     outcome = None
     if warm:
         graph = _build(unit)
-        with use_engine(engine):
+        with run_under(engine):
             outcome = bound.run(graph)  # prime the memos, untimed
             for _ in range(REPS):
                 started = time.perf_counter()
@@ -99,7 +107,7 @@ def _time_engine(unit, engine: str, *, warm: bool = False):
         return best, outcome
     for _ in range(REPS):
         graph = _build(unit)
-        with use_engine(engine):
+        with run_under(engine):
             started = time.perf_counter()
             outcome = bound.run(graph)
             elapsed = time.perf_counter() - started
@@ -116,9 +124,10 @@ def _ratio(numerator, denominator):
 def measure_units() -> dict:
     """Time every unit on every applicable engine; assemble the rows.
 
-    ``speedup`` is legacy over the default vector engine (cold) and
-    ``compiled_speedup`` legacy over the compiled per-node loop; both
-    are ``None`` on the xlarge cells, where legacy is not timed.
+    ``speedup`` is the reference (column ``legacy_s``) over the default
+    vector engine (cold) and ``compiled_speedup`` the reference over
+    the compiled per-node loop; all three are ``None`` on the xlarge
+    cells, where the reference is not timed.
     """
     rows = []
     for unit in UNITS:
@@ -146,7 +155,7 @@ def measure_units() -> dict:
             "vector_speedup_warm": _ratio(compiled_warm, vector_warm),
         }
         if not unit["xlarge"]:
-            legacy_s, legacy_out = _time_engine(unit, "legacy")
+            legacy_s, legacy_out = _time_engine(unit, REFERENCE)
             assert legacy_out == compiled_out, f"engines disagree on {unit}"
             row["legacy_s"] = round(legacy_s, 6)
             row["speedup"] = _ratio(legacy_s, vector_cold)
@@ -169,7 +178,7 @@ def measure_units() -> dict:
         "reps_best_of": REPS,
         "units": rows,
         "summary": {
-            # cold legacy-over-vector on round-dominated large cells
+            # cold reference-over-vector on round-dominated large cells
             "round_dominated_min_speedup": min(dominated),
             "round_dominated_max_speedup": max(dominated),
             # cold compiled-over-vector on round-dominated xlarge cells
@@ -221,12 +230,11 @@ def format_table(payload: dict) -> str:
 
 
 def test_perf_smoke_vector_beats_legacy():
-    """CI gate: the default vector engine ≥ 2× over the legacy
-    reference on one large-regular unit.  The threshold is kept far
-    below the measured margin (≥ 10×) so shared-runner noise cannot
-    flake it."""
+    """CI gate: the default vector engine ≥ 2× over the reference loop
+    on one large-regular unit.  The threshold is kept far below the
+    measured margin (≥ 10×) so shared-runner noise cannot flake it."""
     unit = {"algorithm": "regular_odd", "d": 5, "n": 512}
-    legacy_s, legacy_out = _time_engine(unit, "legacy")
+    legacy_s, legacy_out = _time_engine(unit, REFERENCE)
     vector_s, vector_out = _time_engine(unit, "vector")
     assert legacy_out == vector_out
     emit(
@@ -297,7 +305,7 @@ def test_bounded_kernel_setup_within_5x_view():
 def test_round_dominated_units_speed_up_5x():
     """The acceptance numbers on the full unit set (the committed
     BENCH_runtime.json was produced by exactly this measurement): cold
-    legacy-over-vector ≥ 5× on every round-dominated large-regular
+    reference-over-vector ≥ 5× on every round-dominated large-regular
     unit, and cold vector-over-compiled ≥ 5× on at least one
     round-dominated xlarge-regular unit."""
     payload = measure_units()
@@ -382,6 +390,7 @@ def ledger_entries(payload: dict):
     Each unit's cold time becomes a pseudo-phase named after the unit,
     so ``repro-eds perf compare`` flags per-unit regressions within one
     engine's trajectory (engines never compare against each other).
+    The reference loop's entry is named ``legacy``.
     """
     from repro.obs.perf import LedgerEntry, git_sha
 

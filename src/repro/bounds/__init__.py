@@ -1,7 +1,7 @@
 """Certified bounds on the maximum matching size ν (and hence on the
 EDS optimum) at every scale.
 
-Three engines behind one :class:`~repro.bounds.result.BoundResult`
+Two halves behind one :class:`~repro.bounds.result.BoundResult`
 protocol:
 
 * :mod:`~repro.bounds.primal` — randomized greedy maximal matching (as
@@ -9,11 +9,13 @@ protocol:
   ``|M| <= ν``, seconds at n = 2^20;
 * :mod:`~repro.bounds.dual` — a feasible fractional vertex cover from
   the shared multiplicative-weights loop: ``ν <= ⌊Σy⌋`` by weak LP
-  duality, verified on every edge in exact integer arithmetic;
-* :mod:`~repro.bounds.exact` — the blossom matching (memoised), the
-  zero-width bracket for sizes where minutes per unit are acceptable.
+  duality, verified on every edge in exact integer arithmetic.
 
-:func:`nu_sandwich` combines the first two into the bracket
+The exact ν (networkx blossom, memoised per graph) is
+:func:`repro.eds.bounds.maximum_matching_size`, a trusted number with no
+certificate.
+
+:func:`nu_sandwich` combines the two halves into the bracket
 ``primal <= ν <= dual`` that restores honest ratio *intervals* to the
 ``xlarge-regular`` scale, where the blossom bound alone was profiled at
 ~172 s/unit (E20).  Certificates are arrays over the compiled graph
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bounds.dual import dual_bound, fractional_vertex_cover
-from repro.bounds.exact import exact_bound, maximum_matching_mask
+from repro.bounds.dual import fractional_vertex_cover
 from repro.bounds.fractional import doubling_phases, solve_covering_lp
-from repro.bounds.primal import greedy_witness, primal_bound, primal_matching
+from repro.bounds.primal import greedy_witness, primal_matching
 from repro.bounds.result import (
     BoundResult,
     CoverCertificate,
@@ -58,14 +59,10 @@ __all__ = [
     "MatchingCertificate",
     "SandwichCertificate",
     "doubling_phases",
-    "dual_bound",
-    "exact_bound",
     "fractional_vertex_cover",
     "greedy_witness",
-    "maximum_matching_mask",
     "nu_can_bind",
     "nu_sandwich",
-    "primal_bound",
     "primal_matching",
     "solve_covering_lp",
     "verify_certificate",

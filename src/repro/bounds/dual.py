@@ -32,12 +32,12 @@ from fractions import Fraction
 import numpy as np
 
 from repro.bounds.fractional import solve_covering_lp
-from repro.bounds.primal import lead_ports, primal_matching
-from repro.bounds.result import BoundResult, CoverCertificate
+from repro.bounds.primal import lead_ports
+from repro.bounds.result import CoverCertificate
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
 
-__all__ = ["dual_bound", "fractional_vertex_cover", "matching_cover"]
+__all__ = ["fractional_vertex_cover", "matching_cover"]
 
 #: The MW start value: width-2 constraints reach 1 in two doublings.
 _MW_START = Fraction(1, 4)
@@ -88,26 +88,3 @@ def fractional_vertex_cover(
     if matching is not None:
         candidates.append(matching_cover(graph, matching))
     return min(reversed(candidates), key=lambda c: c.bound)
-
-
-def dual_bound(
-    graph: PortNumberedGraph,
-    *,
-    matching: np.ndarray | None = None,
-    seed: int = 0,
-) -> BoundResult:
-    """The dual engine on its own: ``ν <= ⌊Σy⌋``, cover as certificate.
-
-    Builds a primal matching internally when none is supplied, so the
-    matching-cover candidate is always in play; the *lower* side of the
-    returned result is the trivial 0 — use :func:`repro.bounds.
-    nu_sandwich` for the two-sided bracket.
-    """
-    graph.require_simple()
-    if matching is None:
-        matching = primal_matching(graph, seed=seed)
-    cover = fractional_vertex_cover(graph, matching)
-    return BoundResult(
-        lower=0, upper=cover.bound, certificate=cover,
-        exact=(cover.bound == 0),
-    )

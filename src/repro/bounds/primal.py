@@ -44,7 +44,6 @@ __all__ = [
     "edge_priority",
     "greedy_matching",
     "greedy_witness",
-    "primal_bound",
     "primal_matching",
 ]
 
@@ -229,8 +228,3 @@ def primal_matching(graph: PortNumberedGraph, *, seed: int = 0) -> np.ndarray:
     """
     greedy = greedy_witness(graph, seed=seed).certificate.selected
     return _augment(graph.compiled(), greedy)
-
-
-def primal_bound(graph: PortNumberedGraph, *, seed: int = 0) -> BoundResult:
-    """The primal half on its own: ``|M| <= ν <= 2|M|`` by maximality."""
-    return _maximal_matching_bound(primal_matching(graph, seed=seed))

@@ -1,12 +1,12 @@
 """The certified-bounds protocol: :class:`BoundResult` + certificates.
 
-Every bounds engine — primal (:mod:`repro.bounds.primal`), dual
-(:mod:`repro.bounds.dual`), exact (:mod:`repro.bounds.exact`) — returns
-the same shape: a :class:`BoundResult` bracketing the maximum matching
-size ``ν(G)`` with ``lower <= ν <= upper`` and carrying the evidence as
-a *certificate*.  The certificates are self-contained mathematical
-objects, not solver state, and they are arrays over the graph's compiled
-form (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`):
+Both bounds halves — primal (:mod:`repro.bounds.primal`) and dual
+(:mod:`repro.bounds.dual`) — return the same shape: a
+:class:`BoundResult` bracketing the maximum matching size ``ν(G)`` with
+``lower <= ν <= upper`` and carrying the evidence as a *certificate*.
+The certificates are self-contained mathematical objects, not solver
+state, and they are arrays over the graph's compiled form
+(:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`):
 
 * :class:`MatchingCertificate` — a boolean mask over global ports (the
   ``RunResult.selected`` idiom: an edge is selected when both of its
@@ -151,10 +151,11 @@ Certificate = Union[MatchingCertificate, CoverCertificate,
 class BoundResult:
     """The common return shape of every bounds engine.
 
-    ``lower <= ν(G) <= upper``; ``exact`` means the two coincide *and*
-    the value is known to be ν (not merely a zero-width accident).  The
-    certificate, when present, lets :func:`verify_certificate` re-prove
-    both bounds independently of the engine.
+    ``lower <= ν(G) <= upper``; ``exact`` claims that the two coincide,
+    and a claim the certificate cannot back is rejected by
+    :func:`verify_certificate` like any other.  The certificate, when
+    present, lets :func:`verify_certificate` re-prove both bounds
+    independently of the engine.
     """
 
     lower: int
@@ -321,21 +322,14 @@ def verify_certificate(
         upper_candidates.append(_check_cover(cg, cover))
     if size is not None and matching.maximal:
         upper_candidates.append(2 * size)
-    # An exact engine claims ``upper == ν == |M|`` for a *maximum*
-    # matching — tighter than anything a certificate can prove (that
-    # would amount to certifying maximumness).  The bracket
-    # ``[|M|, 2|M|]`` is still re-proven above; the zero-width claim
-    # itself is the engine's, so it is exempted here, explicitly.
-    exact_claim = result.exact and size is not None and result.upper == size
-    if not upper_candidates and not exact_claim:
+    if not upper_candidates:
         raise CertificateError(
             f"upper bound {result.upper} has no certificate "
             "(need a cover or a maximal matching)"
         )
-    if upper_candidates and result.upper < min(upper_candidates):
-        if not exact_claim:
-            raise CertificateError(
-                f"upper bound {result.upper} is below every certified "
-                f"candidate (best: {min(upper_candidates)})"
-            )
+    if result.upper < min(upper_candidates):
+        raise CertificateError(
+            f"upper bound {result.upper} is below every certified "
+            f"candidate (best: {min(upper_candidates)})"
+        )
     return True

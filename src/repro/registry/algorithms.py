@@ -14,7 +14,7 @@ A registered algorithm declares
 
 :func:`resolve` turns a name + params (+ RNG seed) into a
 :class:`BoundAlgorithm` — a ready-to-run closure bundle that the
-executor, the API façade, and the legacy shims all share.
+executor and the API façade share.
 
 Built-in algorithms register themselves where they are defined (the
 ``repro.algorithms`` modules); third-party code uses the same decorator::

@@ -16,7 +16,7 @@ count, and (optionally) a full message trace.
 Execution engines
 -----------------
 
-Three engines share the public entry points:
+Two engines share the public entry points:
 
 * ``"vector"`` (default) — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
@@ -33,13 +33,12 @@ Three engines share the public entry points:
   is the graph's construction order, per-node inbox mappings are
   preallocated once and reused across rounds, and traces are
   reconstructed from a flat log after the run.
-* ``"legacy"`` — the original dict-based loop
-  (:mod:`repro.runtime.legacy`), the independent reference the
-  differential tests and the runtime benchmark compare against.
 
-All engines are observationally identical — same outputs, rounds, and
-traces; ``tests/test_runtime_compiled.py`` enforces this across the full
-algorithm × graph-family matrix.  The ``simulate`` span's ``engine``
+Both engines are observationally identical — same outputs, rounds, and
+traces.  ``tests/test_runtime_compiled.py`` checks both across the full
+algorithm × graph-family matrix against a reference loop that routes
+every message through the graph's ``(d, p)`` dicts rather than its
+arrays (``tests/reference_loop.py``).  The ``simulate`` span's ``engine``
 annotation names the engine that ran.  Pick one for a region with
 :func:`use_engine`.
 """
@@ -83,7 +82,7 @@ __all__ = [
 DEFAULT_MAX_ROUNDS = 100_000
 
 #: The selectable execution engines (see the module docstring).
-ENGINES = ("vector", "compiled", "legacy")
+ENGINES = ("vector", "compiled")
 
 _engine_override: ContextVar[str | None] = ContextVar(
     "repro_runtime_engine", default=None
@@ -95,11 +94,10 @@ def use_engine(name: str) -> Iterator[None]:
     """Run a region under a different scheduler engine.
 
     The one way to pick an engine: the CLI's ``--engine`` flag, the
-    differential tests and the runtime benchmark wrap their calls in it
-    (``use_engine("legacy")`` compares against the reference loop).  The
-    override is a :class:`~contextvars.ContextVar` of this process, so
-    it does not reach pool workers: run under the inline backend to use
-    it.
+    differential tests and the runtime benchmark wrap their calls in it.
+    The override is a :class:`~contextvars.ContextVar` of this process,
+    so it does not reach pool workers: run under the inline backend to
+    use it.
     """
     _resolve_engine(name)  # validate eagerly
     token = _engine_override.set(name)
@@ -378,8 +376,7 @@ def _dispatch(
     (``()`` anonymous, ``(ids,)`` identified); a missing hook or one
     that returns ``None`` sends ``vector`` to the compiled loop.
     """
-    resolved = _resolve_engine(None)
-    if resolved == "vector":
+    if _resolve_engine(None) == "vector":
         hook = getattr(algorithm, "vector_program", None)
         if hook is not None:
             with span("simulate:setup"):
@@ -389,15 +386,8 @@ def _dispatch(
                 return _execute_vector(
                     graph, vec, max_rounds, record_trace, strict_delivery
                 )
-        resolved = "compiled"
-    _annotate_engine(resolved)
+    _annotate_engine("compiled")
     programs = _make_programs(graph, make_program)
-    if resolved == "legacy":
-        from repro.runtime.legacy import execute_legacy
-
-        return execute_legacy(
-            graph, programs, max_rounds, record_trace, strict_delivery
-        )
     return _execute(graph, programs, max_rounds, record_trace, strict_delivery)
 
 
@@ -446,14 +436,16 @@ def run_identified(
 ) -> RunResult:
     """Run an algorithm in the stronger unique-identifier model.
 
-    *ids* assigns each node a distinct integer; by default nodes are
-    numbered by their deterministic order in ``graph.nodes``.  This runner
-    exists for baseline comparisons (paper §1.3); the paper's own
-    algorithms never use it.  Identified factories with a vector kernel
-    expose ``vector_program(graph, ids)``.
+    *ids* assigns each node of the graph, and nothing else, a distinct
+    integer; by default nodes are numbered by their deterministic order
+    in ``graph.nodes``.  This runner exists for baseline comparisons
+    (paper §1.3); the paper's own algorithms never use it.  Identified
+    factories with a vector kernel expose ``vector_program(graph, ids)``.
     """
     if ids is None:
         ids = {v: k for k, v in enumerate(graph.nodes)}
+    else:
+        _check_id_keys(graph, ids)
     if len(set(ids.values())) != graph.num_nodes:
         raise SimulationError("node identifiers must be unique")
     return _dispatch(
@@ -461,3 +453,15 @@ def run_identified(
         lambda v: algorithm(graph.degree(v), ids[v]),
         max_rounds, record_trace, strict_delivery,
     )
+
+
+def _check_id_keys(graph: PortNumberedGraph, ids: Mapping[Node, int]) -> None:
+    """Raise :class:`SimulationError` naming the first node of the graph
+    that *ids* misses, else the first key of *ids* that is no node."""
+    for v in graph.nodes:
+        if v not in ids:
+            raise SimulationError(f"ids give node {v!r} no identifier")
+    if len(ids) != graph.num_nodes:
+        index = graph.compiled().node_index
+        extra = next(v for v in ids if v not in index)
+        raise SimulationError(f"ids name {extra!r}, which is not a node")

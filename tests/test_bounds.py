@@ -38,14 +38,10 @@ from repro.bounds import (
     MatchingCertificate,
     SandwichCertificate,
     doubling_phases,
-    dual_bound,
-    exact_bound,
     fractional_vertex_cover,
     greedy_witness,
-    maximum_matching_mask,
     nu_can_bind,
     nu_sandwich,
-    primal_bound,
     primal_matching,
     solve_covering_lp,
     verify_certificate,
@@ -89,12 +85,14 @@ class TestSandwichSoundnessMatrix:
     def test_primal_nu_dual_chain(self, name, make, d, seed):
         g = make()
         nu = maximum_matching_size(g)
-        primal = primal_bound(g, seed=seed)
-        dual = dual_bound(g, seed=seed)
+        witness = greedy_witness(g, seed=seed)
+        cover = fractional_vertex_cover(g, primal_matching(g, seed=seed))
+        dual = BoundResult(0, cover.bound, cover, exact=False)
         sandwich = nu_sandwich(g, seed=seed)
-        assert primal.lower <= nu <= dual.upper, name
-        assert sandwich.lower <= nu <= sandwich.upper, name
-        assert verify_certificate(g, primal)
+        assert witness.lower <= nu <= dual.upper, name
+        assert witness.lower <= sandwich.lower <= nu, name
+        assert nu <= sandwich.upper <= dual.upper, name
+        assert verify_certificate(g, witness)
         assert verify_certificate(g, dual)
         assert verify_certificate(g, sandwich)
 
@@ -119,16 +117,6 @@ class TestSandwichSoundnessMatrix:
         matched = {v for e in matching for v in (e.u, e.v)}
         assert len(matched) == 2 * len(matching), name
 
-    @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
-    def test_exact_engine_matches_blossom(self, name, make, d):
-        g = make()
-        result = exact_bound(g)
-        assert result.exact
-        assert result.lower == result.upper == maximum_matching_size(g)
-        assert verify_certificate(g, result)
-        mask = maximum_matching_mask(g)
-        assert np.count_nonzero(mask) == 2 * result.lower
-        assert np.array_equal(mask, mask[g.compiled().vector().mate])
 
 
 def sequential_greedy(vg, priority):
@@ -374,6 +362,17 @@ class TestVerifyRejectsCorruption:
         with pytest.raises(CertificateError, match="below every"):
             verify_certificate(g, deflated)
 
+    def test_unbacked_exact_claim_rejected(self):
+        """A zero-width claim ``upper == |M|`` on a maximal matching
+        alone is below the ``2|M|`` the certificate proves."""
+        g, _ = self._sandwich()
+        witness = greedy_witness(g, seed=0)
+        size = witness.lower
+        assert 0 < size < 2 * size
+        claim = BoundResult(size, size, witness.certificate, exact=True)
+        with pytest.raises(CertificateError, match="below every"):
+            verify_certificate(g, claim)
+
     def test_missing_certificate_rejected(self):
         g, s = self._sandwich()
         with pytest.raises(CertificateError, match="no certificate"):
@@ -479,7 +478,6 @@ class TestBlossomMemo:
         first = maximum_matching_size(g)
         assert maximum_matching_size(g) == first
         assert eds_lower_bound(g) >= 1
-        exact_bound(g)
         assert len(calls) == 1
 
     def test_fresh_graph_recomputes(self):

@@ -43,6 +43,8 @@ from repro.runtime import (
 )
 from repro.runtime.outputs import decode_edge_set
 
+from tests.reference_loop import RUNNABLE, run_under
+
 
 class SendsOnBadPort(NodeProgram):
     def send(self, rnd):
@@ -179,10 +181,10 @@ class TestDeliveryTelemetry:
         assert rec.counters["runtime.messages.delivered"] == delivered
         assert rec.counters["runtime.messages.dropped"] == dropped
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RUNNABLE)
     def test_strict_delivery_rejects_the_same_run(self, engine):
         graph = from_networkx(nx.path_graph(3))
-        with use_engine(engine):
+        with run_under(engine):
             with pytest.raises(SimulationError, match="halted"):
                 run_anonymous(
                     graph, HaltsEarlyAtLeaves, strict_delivery=True

@@ -40,8 +40,9 @@ from repro.runtime import (
     run_anonymous,
     use_engine,
 )
-from repro.runtime.legacy import execute_legacy
 from repro.runtime.outputs import EdgeSelection
+
+from tests.reference_loop import RUNNABLE, execute_reference, run_under
 
 PAPER_ALGORITHMS = ("port_one", "regular_odd", "bounded_degree")
 SMALL_GRAPHS = (
@@ -66,7 +67,7 @@ def reference(graph, factory):
         if graph.degree(v) == 0 and not prog.halted:
             prog.halt(frozenset())
         programs[v] = prog
-    execute_legacy(graph, programs, DEFAULT_MAX_ROUNDS, False)
+    execute_reference(graph, programs, DEFAULT_MAX_ROUNDS, False)
     outputs = {v: prog.output for v, prog in programs.items()}
     edges = frozenset(
         graph.edge_at(v, i) for v in graph.nodes for i in outputs[v]
@@ -203,7 +204,7 @@ class TestChecksRunOnEveryUnit:
             with pytest.raises(AlgorithmContractError, match="infeasible"):
                 execute_unit(pairing_unit())
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RUNNABLE)
     @pytest.mark.parametrize(
         "output,message",
         [
@@ -226,7 +227,7 @@ class TestChecksRunOnEveryUnit:
 
         graph = from_networkx(nx.path_graph(2))
         with pytest.raises(InconsistentOutputError, match=message):
-            with use_engine(engine):
+            with run_under(engine):
                 run_anonymous(graph, HaltsWithOutput)
 
     def test_missing_output_fails_the_reference_decoder(self):

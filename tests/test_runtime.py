@@ -13,13 +13,16 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.portgraph import PortGraphBuilder, from_networkx, random_lift
+from repro.algorithms import GreedyMaximalMatchingIds
 from repro.runtime import (
+    ENGINES,
     NodeProgram,
     check_consistency,
     decode_edge_set,
     edge_set_to_outputs,
     run_anonymous,
     run_identified,
+    use_engine,
 )
 
 from tests.conftest import port_graphs
@@ -188,6 +191,26 @@ class TestIdentifiedRunner:
                 lambda d, uid: HaltImmediately(d),
                 ids={v: 0 for v in triangle.nodes},
             )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ids_missing_a_node_rejected(self, triangle, engine):
+        first, *rest = triangle.nodes
+        ids = {v: k for k, v in enumerate(rest)}
+        with pytest.raises(
+            SimulationError, match=f"ids give node {first!r} no identifier"
+        ):
+            with use_engine(engine):
+                run_identified(triangle, GreedyMaximalMatchingIds, ids=ids)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ids_naming_a_stranger_rejected(self, triangle, engine):
+        ids = {v: k for k, v in enumerate(triangle.nodes)}
+        ids["stranger"] = len(ids)
+        with pytest.raises(
+            SimulationError, match="ids name 'stranger', which is not a node"
+        ):
+            with use_engine(engine):
+                run_identified(triangle, GreedyMaximalMatchingIds, ids=ids)
 
 
 class TestOutputDecoding:

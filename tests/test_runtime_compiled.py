@@ -1,13 +1,16 @@
-"""Differential tests: every engine against the legacy reference.
+"""Differential tests: both engines against the reference loop.
 
 The compiled per-node loop and the vector kernels must be
-*observationally identical* to the legacy dict-based scheduler: same
-outputs, same round counts, and the same full message traces.  This
-suite asserts exactly that across every registered simulator-driven
-algorithm × every plain graph family at two sizes, plus the structural
-edge cases (loops, parallel edges, degree-0 nodes, the empty graph) —
-and pins the engine contract that the rewrite left every content
-address and cached record byte-identical.
+*observationally identical* to the reference loop of
+``tests/reference_loop.py``, which routes every message through the
+graph's ``(d, p)`` dicts instead of its arrays: same outputs, same
+round counts, and the same full message traces.  This suite asserts
+exactly that across every registered simulator-driven algorithm × every
+plain graph family at two sizes, plus the structural edge cases (loops,
+parallel edges, degree-0 nodes, the empty graph), checks that the
+reference does not read the arrays under test, and pins the engine
+contract that the rewrite left every content address and cached record
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.runtime import (
     use_engine,
 )
 from repro.runtime.scheduler import _resolve_engine
+
+from tests.reference_loop import REFERENCE, RUNNABLE, run_under
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -77,16 +82,11 @@ def build(family: str, params: dict):
     return get_family(family).make(params, seed)
 
 
-def candidate_engines() -> list[str]:
-    """Every engine the differential matrix must hold against the
-    legacy reference."""
-    return ["compiled", "vector"]
-
-
 def traced_run(name: str, graph, engine: str):
+    """*name*'s traced run on one of ``RUNNABLE``."""
     bound = get_algorithm(name).resolve(rng_seed=11)
     assert bound.traced is not None
-    with use_engine(engine):
+    with run_under(engine):
         return bound.traced(graph)
 
 
@@ -120,11 +120,11 @@ class TestMatrixCoverage:
 @pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
 @pytest.mark.parametrize("which", [0, 1])
 def test_differential_full_matrix(family: str, which: int):
-    """Compiled and vector runs equal the legacy reference everywhere."""
+    """Compiled and vector runs equal the reference loop everywhere."""
     graph = build(family, FAMILY_INSTANCES[family][which])
     for name in simulated_algorithms():
-        reference = traced_run(name, graph, "legacy")
-        for engine in candidate_engines():
+        reference = traced_run(name, graph, REFERENCE)
+        for engine in ENGINES:
             candidate = traced_run(name, graph, engine)
             assert_identical(
                 reference, candidate, f"{name} on {family}#{which} ({engine})"
@@ -183,8 +183,8 @@ class TestEdgeCases:
             ("isolated after hub", self._isolated_after_hub()),
             ("empty", self._empty()),
         ):
-            reference = traced_run(name, graph, "legacy")
-            for engine in candidate_engines():
+            reference = traced_run(name, graph, REFERENCE)
+            for engine in ENGINES:
                 candidate = traced_run(name, graph, engine)
                 assert_identical(
                     reference, candidate, f"{name} on {tag} ({engine})"
@@ -217,9 +217,44 @@ class _ChattyLeafHalter(NodeProgram):
             self.halt()
 
 
+def _swap_partners(cg) -> None:
+    """Re-pair two edges ``a–b`` and ``c–e`` of *cg* as ``a–e`` and
+    ``c–b`` in its ``mate`` array, in place: still an involution, but no
+    longer the graph's ``p``.  The two edges share no node."""
+    mate, owner = cg.mate, cg.port_node
+    a = next(g for g in range(cg.num_ports) if mate[g] != g)
+    b = mate[a]
+    taken = {owner[a], owner[b]}
+    c = next(
+        g for g in range(cg.num_ports)
+        if mate[g] != g and owner[g] not in taken
+        and owner[mate[g]] not in taken
+    )
+    e = mate[c]
+    mate[a], mate[e] = e, a
+    mate[c], mate[b] = b, c
+
+
+class TestReferenceIndependence:
+    """The reference reads the ``(d, p)`` dicts, not the arrays under
+    test: corrupting ``mate`` moves the compiled run off the reference,
+    and the reference's own run does not move."""
+
+    @pytest.mark.parametrize("family", ["bounded", "tree", "crown"])
+    @pytest.mark.parametrize(
+        "name", ["port_one", "bounded_degree", "ids_greedy"]
+    )
+    def test_mate_swap_caught(self, family: str, name: str):
+        graph = build(family, FAMILY_INSTANCES[family][1])
+        reference = traced_run(name, graph, REFERENCE)
+        _swap_partners(graph.compiled())
+        assert traced_run(name, graph, REFERENCE) == reference
+        assert traced_run(name, graph, "compiled").trace != reference.trace
+
+
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("vector", "compiled", "legacy")
+        assert ENGINES == ("vector", "compiled")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -227,8 +262,8 @@ class TestEngineSelection:
 
     def test_use_engine_restores(self):
         assert _resolve_engine(None) == "vector"
-        with use_engine("legacy"):
-            assert _resolve_engine(None) == "legacy"
+        with use_engine("compiled"):
+            assert _resolve_engine(None) == "compiled"
         assert _resolve_engine(None) == "vector"
 
 
@@ -242,9 +277,9 @@ class TestDroppedSends:
             builder.connect("hub", i, leaf, 1)
         return builder.build()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RUNNABLE)
     def test_dropped_flagged_consistently(self, engine: str):
-        with use_engine(engine):
+        with run_under(engine):
             result = run_anonymous(
                 self._star(), _ChattyLeafHalter, record_trace=True
             )
@@ -267,17 +302,17 @@ class TestDroppedSends:
         assert result.trace.total_dropped == 0
         assert "dropped" not in result.trace.summary()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RUNNABLE)
     def test_strict_delivery_raises_on_every_engine(self, engine: str):
         from repro.exceptions import SimulationError
 
         with pytest.raises(SimulationError, match="sent to halted node"):
-            with use_engine(engine):
+            with run_under(engine):
                 run_anonymous(
                     self._star(), _ChattyLeafHalter, strict_delivery=True
                 )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RUNNABLE)
     def test_strict_delivery_batch_path(self, engine: str):
         """ids_greedy halts nodes at different times, so its *kernel*
         routing (not just the per-node loop) must honour strict
@@ -290,7 +325,7 @@ class TestDroppedSends:
 
         graph = build("regular", {"d": 3, "n": 8})
         with pytest.raises(SimulationError, match="sent to halted node"):
-            with use_engine(engine):
+            with run_under(engine):
                 run_identified(
                     graph, GreedyMaximalMatchingIds, strict_delivery=True
                 )

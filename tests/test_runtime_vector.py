@@ -81,7 +81,7 @@ class TestSelectionContract:
         assert "runtime.vector.runs" not in counters
         assert not caplog.records
 
-    @pytest.mark.parametrize("name", ["auto", "pernode"])
+    @pytest.mark.parametrize("name", ["auto", "pernode", "legacy"])
     def test_removed_engine_names_rejected(self, name):
         assert name not in ENGINES
         with pytest.raises(ValueError, match="unknown engine"):
